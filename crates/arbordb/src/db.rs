@@ -80,6 +80,14 @@ impl DbStats {
     }
 }
 
+/// Logical page accesses made so far by the calling thread, over every
+/// database — the per-thread "db hits" counter. A delta around one query
+/// counts that query's hits alone, even while other threads read the same
+/// database; [`DbStats::db_hits`] is the database-wide total.
+pub fn thread_db_hits() -> u64 {
+    micrograph_pagestore::buffer::thread_accesses()
+}
+
 /// A transactional, record-store property graph database.
 pub struct GraphDb {
     pub(crate) nodes: RecordStore<NodeRecord>,

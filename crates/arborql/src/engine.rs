@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 
 
-use arbordb::db::GraphDb;
+use arbordb::db::{thread_db_hits, GraphDb};
 use micrograph_common::stats::Timer;
 use micrograph_common::Value;
 use parking_lot::Mutex;
@@ -99,7 +99,8 @@ impl Prepared {
 /// Per-query statistics (the `PROFILE` surface).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct QueryStats {
-    /// Buffer-pool page accesses during execution (the "db hits").
+    /// Buffer-pool page accesses made by the executing thread during
+    /// execution (the "db hits"); concurrent queries do not inflate it.
     pub db_hits: u64,
     /// Result rows produced.
     pub rows: u64,
@@ -242,14 +243,14 @@ impl QueryEngine {
         // execution is strictly read-only — the latch cannot self-deadlock.
         let _latch = self.db.read_latch();
         let ctx = ExecContext::new(&self.db, &params);
-        let hits_before = self.db.stats().db_hits();
+        let hits_before = thread_db_hits();
         let timer = Timer::start();
         let rows = match self.exec_mode() {
             ExecMode::Vectorized => execute_vec(plan, &ctx)?,
             ExecMode::Tuple => execute(plan, &ctx)?,
         };
         let exec_ms = timer.elapsed_ms();
-        let db_hits = self.db.stats().db_hits().saturating_sub(hits_before);
+        let db_hits = thread_db_hits() - hits_before;
         Ok(QueryResult {
             columns: plan.columns.clone(),
             stats: QueryStats {
@@ -273,14 +274,14 @@ impl QueryEngine {
         let params: HashMap<String, Value> =
             params.iter().map(|(k, v)| ((*k).to_owned(), v.clone())).collect();
         let ctx = ExecContext::with_counters(&self.db, &params, descs.len());
-        let hits_before = self.db.stats().db_hits();
+        let hits_before = thread_db_hits();
         let timer = Timer::start();
         let rows = match self.exec_mode() {
             ExecMode::Vectorized => execute_vec(&instrumented, &ctx)?,
             ExecMode::Tuple => execute(&instrumented, &ctx)?,
         };
         let exec_ms = timer.elapsed_ms();
-        let db_hits = self.db.stats().db_hits().saturating_sub(hits_before);
+        let db_hits = thread_db_hits() - hits_before;
         let counts = ctx.take_counters();
         Ok(ProfiledResult {
             result: QueryResult {

@@ -7,6 +7,7 @@
 //! returned are all factors that contribute to performance gains".
 
 use std::cell::RefCell;
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 
 use arbordb::db::GraphDb;
@@ -708,41 +709,65 @@ pub fn eval(e: &CExpr, row: &[Slot], ctx: &ExecContext<'_>) -> Result<Value> {
         }
         CExpr::Not(a) => Value::Bool(!eval(a, row, ctx)?.is_truthy()),
         CExpr::PatternExists { from, to, rel_type, dir } => {
-            let (Slot::Node(a), Slot::Node(b)) = (&row[*from], &row[*to]) else {
-                return Err(QlError::Plan("pattern predicate endpoints not bound".into()));
-            };
+            let (a, b) = pattern_endpoints(row, *from, *to)?;
             let t = resolve_type(ctx.db, rel_type);
             if rel_type.is_some() && t.is_none() {
                 return Ok(Value::Bool(false));
             }
             // Expand from the lower-degree side (the "bound side" rule).
-            let da = ctx.db.degree(*a, t, *dir).map_err(QlError::Db)?;
-            let db_ = ctx.db.degree(*b, t, dir.reverse()).map_err(QlError::Db)?;
+            let da = ctx.db.degree(a, t, *dir).map_err(QlError::Db)?;
+            let db_ = ctx.db.degree(b, t, dir.reverse()).map_err(QlError::Db)?;
             let (probe_from, probe_dir, target, deg) = if da <= db_ {
-                (*a, *dir, *b, da)
+                (a, *dir, b, da)
             } else {
-                (*b, dir.reverse(), *a, db_)
+                (b, dir.reverse(), a, db_)
             };
             // High-degree sides get their neighbor set memoized for the
             // rest of this execution (a hash anti-semi-join): the same
             // bound node is typically probed once per result row.
             const MEMO_DEGREE: u64 = 16;
             let found = if deg >= MEMO_DEGREE {
-                let key = (probe_from, t.unwrap_or(u32::MAX), dir_code(probe_dir));
-                if !ctx.memo.borrow().contains_key(&key) {
-                    let mut set = HashSet::with_capacity(deg as usize);
-                    for nb in ctx.db.neighbors(probe_from, t, probe_dir) {
-                        set.insert(nb.map_err(QlError::Db)?);
-                    }
-                    ctx.memo.borrow_mut().insert(key, set);
-                }
-                ctx.memo.borrow()[&key].contains(&target)
+                with_neighbor_set(ctx, probe_from, t, probe_dir, |set| set.contains(&target))?
             } else {
                 neighbors_contain(ctx.db, probe_from, t, probe_dir, target)?
             };
             Value::Bool(found)
         }
     })
+}
+
+/// The two endpoint nodes of a pattern predicate over `row`; both must be
+/// bound by the time the predicate runs.
+pub(crate) fn pattern_endpoints(row: &[Slot], from: usize, to: usize) -> Result<(NodeId, NodeId)> {
+    match (&row[from], &row[to]) {
+        (Slot::Node(a), Slot::Node(b)) => Ok((*a, *b)),
+        _ => Err(QlError::Plan("pattern predicate endpoints not bound".into())),
+    }
+}
+
+/// Runs `f` on the `(t, dir)` neighbor set of `node`, taken from the
+/// per-execution memo — the hash side of a pattern predicate's
+/// (anti-)semi-join. The set is read from the store on the node's first
+/// probe and kept for the rest of the execution.
+pub(crate) fn with_neighbor_set<R>(
+    ctx: &ExecContext<'_>,
+    node: NodeId,
+    t: Option<u32>,
+    dir: Direction,
+    f: impl FnOnce(&HashSet<NodeId>) -> R,
+) -> Result<R> {
+    let mut memo = ctx.memo.borrow_mut();
+    let set = match memo.entry((node, t.unwrap_or(u32::MAX), dir_code(dir))) {
+        Entry::Occupied(e) => e.into_mut(),
+        Entry::Vacant(e) => {
+            let mut set = HashSet::new();
+            for nb in ctx.db.neighbors(node, t, dir) {
+                set.insert(nb.map_err(QlError::Db)?);
+            }
+            e.insert(set)
+        }
+    };
+    Ok(f(set))
 }
 
 fn dir_code(d: Direction) -> u8 {

@@ -18,6 +18,7 @@ use std::collections::{HashMap, HashSet};
 
 use arbordb::db::GraphDb;
 use arbordb::traversal::shortest_path;
+use micrograph_common::ids::Direction;
 use micrograph_common::{EdgeId, LabelId, NodeId, Value};
 
 use crate::ast::CmpOp;
@@ -356,6 +357,22 @@ fn run_vec(op: &Op, ctx: &ExecContext<'_>, width: usize, sink: &mut BSink<'_>) -
             flush_rest(&mut out, sink)
         }
         Op::Filter { input, pred } => {
+            // A bare `[NOT] (x)-[:T]-(y)` runs per batch as a hash
+            // (anti-)semi-join; a pattern inside `AND`/`OR` is evaluated
+            // row by row below.
+            let (bare, negate) = match pred {
+                CExpr::Not(inner) => (inner.as_ref(), true),
+                other => (other, false),
+            };
+            if let CExpr::PatternExists { from, to, rel_type, dir } = bare {
+                return run_vec(input, ctx, width, &mut |b: &mut Batch| {
+                    pattern_semi_join(b, ctx, (*from, *to), rel_type, *dir, negate)?;
+                    if b.is_empty() {
+                        return Ok(true);
+                    }
+                    sink(b)
+                });
+            }
             // Fast path for the planner's label re-check: resolve the label
             // name to an id once and compare ids, skipping the per-row
             // dictionary round-trip through the label *name*.
@@ -759,6 +776,71 @@ fn run_vec(op: &Op, ctx: &ExecContext<'_>, width: usize, sink: &mut BSink<'_>) -
 // ---------------------------------------------------------------------------
 // Column-at-a-time expression evaluation
 // ---------------------------------------------------------------------------
+
+/// Keeps the rows of `b` for which the edge `(from)-[:T]-(to)` exists
+/// (`negate`: does not exist), in order — a hash semi-join (anti-semi-join)
+/// of the batch against the memoized neighbor sets of one endpoint slot.
+///
+/// The key side is the slot with fewer distinct nodes in the batch (ties
+/// key on `from`), so a pattern anchored on one node builds a single set and
+/// probes every row with one hash lookup. Edge existence does not depend on
+/// the side it is read from; keying on `to` reads `dir.reverse()`. Rows
+/// and error texts match the tuple interpreter's per-row evaluation.
+fn pattern_semi_join(
+    b: &mut Batch,
+    ctx: &ExecContext<'_>,
+    (from, to): (usize, usize),
+    rel_type: &Option<String>,
+    dir: Direction,
+    negate: bool,
+) -> Result<()> {
+    let mut ends: Vec<(NodeId, NodeId)> = Vec::with_capacity(b.len());
+    for i in 0..b.len() {
+        ends.push(crate::exec::pattern_endpoints(b.row(i), from, to)?);
+    }
+    let t = resolve_type(ctx.db, rel_type);
+    let mut pass = vec![negate; ends.len()];
+    if rel_type.is_none() || t.is_some() {
+        // Reorder every pair as (key, probe).
+        let key_dir = if fewer_distinct_targets(&ends) {
+            ends.iter_mut().for_each(|e| *e = (e.1, e.0));
+            dir.reverse()
+        } else {
+            dir
+        };
+        let mut i = 0;
+        while i < ends.len() {
+            let key = ends[i].0;
+            crate::exec::with_neighbor_set(ctx, key, t, key_dir, |set| {
+                while i < ends.len() && ends[i].0 == key {
+                    pass[i] = set.contains(&ends[i].1) != negate;
+                    i += 1;
+                }
+            })?;
+        }
+    }
+    let mut kept = 0usize;
+    for (i, keep) in pass.into_iter().enumerate() {
+        if keep {
+            b.swap_rows(kept, i);
+            kept += 1;
+        }
+    }
+    b.truncate_rows(kept);
+    Ok(())
+}
+
+/// Whether the `to` side of the `(from, to)` pairs holds fewer distinct
+/// nodes than the `from` side. Counting stops once `to` ties `from`, since
+/// a tie keys on `from`.
+fn fewer_distinct_targets(ends: &[(NodeId, NodeId)]) -> bool {
+    let from: HashSet<NodeId> = ends.iter().map(|e| e.0).collect();
+    let mut to = HashSet::new();
+    ends.iter().all(|e| {
+        to.insert(e.1);
+        to.len() < from.len()
+    })
+}
 
 /// Evaluates `exprs` over every row of `b`, one column at a time. A `PropId`
 /// column whose slot holds a node in every row goes through the batched

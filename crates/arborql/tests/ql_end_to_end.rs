@@ -309,6 +309,44 @@ fn db_hits_reported() {
 }
 
 #[test]
+fn db_hits_count_only_the_executing_threads_accesses() {
+    // Two queries run concurrently on one database; each must report the
+    // db hits it reports when it runs alone, in `query` and in `profile`,
+    // however the two threads' page accesses interleave.
+    let f = fixture();
+    let ql = QueryEngine::new(f.db.clone());
+    let queries = [
+        "MATCH (a:user {uid: $uid})-[:follows]->(f)-[:follows]->(r) \
+         WHERE NOT (a)-[:follows]->(r) RETURN r.uid, f.uid",
+        "MATCH (t:tweet)-[:mentions]->(u:user) WHERE u.uid <> $uid RETURN t.tid, u.uid",
+    ];
+    let params = [("uid", Value::Int(1))];
+    let alone: Vec<(u64, u64)> = queries
+        .iter()
+        .map(|q| {
+            let hits = ql.query(q, &params).unwrap().stats.db_hits;
+            (hits, ql.profile(q, &params).unwrap().result.stats.db_hits)
+        })
+        .collect();
+    assert!(alone.iter().all(|&(q, p)| q > 0 && p > 0), "{alone:?}");
+    std::thread::scope(|s| {
+        for (q, &(hits, profiled)) in queries.iter().zip(&alone) {
+            let (ql, params) = (&ql, &params);
+            s.spawn(move || {
+                for round in 0..300 {
+                    assert_eq!(ql.query(q, params).unwrap().stats.db_hits, hits, "round {round}");
+                    assert_eq!(
+                        ql.profile(q, params).unwrap().result.stats.db_hits,
+                        profiled,
+                        "profile round {round}"
+                    );
+                }
+            });
+        }
+    });
+}
+
+#[test]
 fn limit_without_order() {
     let f = fixture();
     let ql = QueryEngine::new(f.db.clone());

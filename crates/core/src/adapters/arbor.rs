@@ -470,11 +470,14 @@ impl ArborEngine {
         for nb in self.db.neighbors(node, follows, Direction::Outgoing) {
             followed.push(nb?);
         }
+        // Sorted for the per-candidate exclusion probe: a linear `contains`
+        // would cost O(followees) per second-hop row.
+        followed.sort_unstable();
         let mut counts: HashMap<NodeId, u64> = HashMap::new();
         for &f in &followed {
             for r in self.db.neighbors(f, follows, Direction::Outgoing) {
                 let r = r?;
-                if r != node && !followed.contains(&r) {
+                if r != node && followed.binary_search(&r).is_err() {
                     *counts.entry(r).or_insert(0) += 1;
                 }
             }

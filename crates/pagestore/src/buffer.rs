@@ -7,6 +7,7 @@
 //! and high-degree traversals "attempt to load a large portion of the graph
 //! in memory", evicting everything else.
 
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -45,6 +46,19 @@ pub struct PoolStats {
     pub evictions: u64,
     /// Dirty pages written back to the backend.
     pub writebacks: u64,
+}
+
+thread_local! {
+    /// Logical page accesses made by the current thread, over every pool.
+    static THREAD_ACCESSES: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Logical page accesses the calling thread has made so far, over every
+/// pool. A delta taken around a piece of work counts that work's accesses
+/// only, whatever other threads do meanwhile — unlike a delta of
+/// [`PoolStats::accesses`], which is shared by all threads.
+pub fn thread_accesses() -> u64 {
+    THREAD_ACCESSES.with(Cell::get)
 }
 
 #[derive(Default)]
@@ -149,6 +163,7 @@ impl BufferPool {
     /// Pins page `id`, faulting it from the backend on a miss.
     pub fn get(&self, id: PageId) -> Result<PageHandle> {
         self.stats.accesses.fetch_add(1, Ordering::Relaxed);
+        THREAD_ACCESSES.with(|c| c.set(c.get() + 1));
         let mut inner = self.inner.lock();
         if let Some(&fi) = inner.map.get(&id) {
             self.stats.hits.fetch_add(1, Ordering::Relaxed);

@@ -383,6 +383,29 @@ fn q4_phrasings_agree_with_canonical() {
 }
 
 #[test]
+fn api_recommendation_matches_language_at_the_highest_degree_user() {
+    // The core-API Q4.1 probes "already followed" once per second-hop row;
+    // it must agree with the language at the highest out-degree too.
+    let (seed, users) = (23, 300);
+    let (a, _b, _g) = engines(seed, users);
+    let mut out_degree = std::collections::HashMap::new();
+    for (f, _) in generate(&base_config(seed, users)).follows {
+        *out_degree.entry(f as i64).or_insert(0u64) += 1;
+    }
+    let (&top, &degree) = out_degree.iter().max_by_key(|&(u, d)| (*d, -*u)).unwrap();
+    assert!(degree >= 20, "vacuous: top out-degree {degree}");
+    for uid in [top, 1, 2, 77, 150] {
+        for n in [10, 1_000] {
+            assert_eq!(
+                a.recommend_followees(uid, n).unwrap(),
+                a.recommend_followees_via_api(uid, n).unwrap(),
+                "uid {uid} n {n}"
+            );
+        }
+    }
+}
+
+#[test]
 fn api_variant_matches_language() {
     let (a, _b, _g) = engines(19, 100);
     for uid in 1..=20 {

@@ -7,6 +7,10 @@
 //! scan after incremental `apply_event` streams (statistics may shape
 //! plans, never answers).
 
+use std::collections::HashMap;
+use std::sync::Arc;
+
+use arbor_ql::QueryEngine;
 use arbordb::db::{DbConfig, GraphDb};
 use micrograph_core::engine::MicroblogEngine;
 use micrograph_core::fault::silence_injected_panics;
@@ -180,6 +184,163 @@ fn exec_mode_flip_is_invariant_under_masked_transient_chaos() {
     }
     assert_eq!(digests[0], digests[1], "exec flip moved the chaos digest");
     assert!(chaos.set_exec_mode(ExecMode::Vectorized));
+}
+
+// ---- pattern-predicate filters -----------------------------------------------
+
+/// An in-memory user graph: users `0..users` (indexed `uid`) and the given
+/// `(from, to, type)` edges, duplicates and self-loops included.
+fn pattern_graph(users: i64, edges: &[(i64, i64, &str)]) -> QueryEngine {
+    let db = GraphDb::open_memory(DbConfig::default()).unwrap();
+    let mut tx = db.begin_write().unwrap();
+    let nodes: Vec<_> = (0..users)
+        .map(|u| tx.create_node("user", &[("uid", Value::Int(u))]).unwrap())
+        .collect();
+    for &(a, b, t) in edges {
+        tx.create_rel(nodes[a as usize], nodes[b as usize], t, &[]).unwrap();
+    }
+    tx.commit().unwrap();
+    db.create_index("user", "uid").unwrap();
+    QueryEngine::new(Arc::new(db))
+}
+
+/// One query shape per pattern-predicate case; `{}` is replaced by `""`
+/// (semi-join) or `"NOT "` (anti-semi-join).
+const PATTERN_SHAPES: [(&str, &str); 8] = [
+    // anchor on `from` (the Q4 shape)
+    ("from-anchor", "MATCH (a:user {uid: $uid})-[:follows]->(f)-[:follows]->(r) \
+                     WHERE {}(a)-[:follows]->(r) RETURN r.uid, f.uid"),
+    // anchor on `to` (the Q5 shape)
+    ("to-anchor", "MATCH (a:user {uid: $uid})<-[:follows]-(f)<-[:follows]-(p) \
+                   WHERE {}(p)-[:follows]->(a) RETURN p.uid, f.uid"),
+    // both endpoints vary across rows
+    ("both-vary", "MATCH (x:user)-[:follows]->(y) WHERE {}(y)-[:follows]->(x) \
+                   RETURN x.uid, y.uid"),
+    // both vary over a cross product larger than one batch
+    ("cross", "MATCH (x:user) WITH x MATCH (y:user) WHERE {}(x)-[:likes]->(y) \
+               RETURN x.uid, y.uid"),
+    ("undirected", "MATCH (a:user {uid: $uid})-[:follows]->(f)-[:follows]-(r) \
+                    WHERE {}(a)-[:follows]-(r) RETURN r.uid, f.uid"),
+    ("self-loop", "MATCH (x:user) WHERE {}(x)-[:follows]->(x) RETURN x.uid"),
+    // parallel duplicate edges on both the expansion and the pattern
+    ("parallel", "MATCH (a:user {uid: $uid})-[:follows]->(f) WHERE {}(f)-[:follows]->(a) \
+                  RETURN f.uid"),
+    ("missing-type", "MATCH (a:user {uid: $uid})-[:follows]->(f) WHERE {}(a)-[:blocks]->(f) \
+                      RETURN f.uid"),
+];
+
+/// Rows of `text` for `uid` under `mode`.
+fn rows_in(ql: &QueryEngine, mode: ExecMode, text: &str, uid: i64) -> Vec<Vec<Value>> {
+    ql.set_exec_mode(mode);
+    ql.query(text, &[("uid", Value::Int(uid))]).unwrap().rows
+}
+
+/// Runs every pattern shape, positive and `NOT`, in both executors for
+/// `uid`: the vectorized rows must equal the tuple rows in order, and the
+/// positive and negated rows must partition the unfiltered rows. Returns
+/// the `(positive, negated)` row counts per shape.
+fn check_pattern_shapes(ql: &QueryEngine, uid: i64) -> Vec<(usize, usize)> {
+    let mut counts = Vec::new();
+    for (name, shape) in PATTERN_SHAPES {
+        let mut split = Vec::new();
+        for neg in ["", "NOT "] {
+            let text = shape.replace("{}", neg);
+            let tuple = rows_in(ql, ExecMode::Tuple, &text, uid);
+            let vec = rows_in(ql, ExecMode::Vectorized, &text, uid);
+            assert_eq!(vec, tuple, "{name} ({neg}) uid {uid}: exec flip moved the rows");
+            split.push(tuple.len());
+        }
+        let where_at = shape.find("WHERE").unwrap();
+        let return_at = shape.find("RETURN").unwrap();
+        let unfiltered = format!("{}{}", &shape[..where_at], &shape[return_at..]);
+        let all = rows_in(ql, ExecMode::Tuple, &unfiltered, uid).len();
+        assert_eq!(split[0] + split[1], all, "{name} uid {uid}: rows not partitioned");
+        counts.push((split[0], split[1]));
+    }
+    counts
+}
+
+#[test]
+fn pattern_filters_agree_across_exec_modes() {
+    // 40 users; user 0 is a hub (20 followees: the tuple path memoizes
+    // it, degree >= 16); self-loops on 0 and 3; user 5 follows 0 twice and
+    // 0 follows 5 twice; a `likes` ring for the cross product.
+    let mut edges: Vec<(i64, i64, &str)> = (1..=20).map(|v| (0, v, "follows")).collect();
+    for u in 0..40 {
+        edges.push((u, (u * 7 + 3) % 40, "follows"));
+        if u % 2 == 0 {
+            edges.push((u, (u * 11 + 1) % 40, "follows"));
+        }
+        edges.push((u, (u + 1) % 40, "likes"));
+    }
+    edges.extend([(0, 0, "follows"), (3, 3, "follows")]);
+    edges.extend([(0, 5, "follows"), (5, 0, "follows"), (5, 0, "follows")]);
+    let ql = pattern_graph(40, &edges);
+    let names: Vec<&str> = PATTERN_SHAPES.iter().map(|s| s.0).collect();
+    let mut seen = vec![(0, 0); PATTERN_SHAPES.len()];
+    for uid in [0, 3, 5, 17] {
+        for (i, (pos, neg)) in check_pattern_shapes(&ql, uid).into_iter().enumerate() {
+            seen[i].0 += pos;
+            seen[i].1 += neg;
+        }
+    }
+    // Every shape but the never-created type keeps rows on both sides.
+    for (name, (pos, neg)) in names.iter().zip(&seen) {
+        assert!(*neg > 0, "{name}: vacuous NOT form");
+        assert_eq!(*pos == 0, *name == "missing-type", "{name}: positive form rows {pos}");
+    }
+    let cross = seen[names.iter().position(|n| *n == "cross").unwrap()];
+    assert!(cross.0 + cross.1 > 4 * 1024, "cross product must span several batches");
+}
+
+#[test]
+fn vectorized_q4_2_profile_halves_the_oracles_db_hits() {
+    // The unit-scale fixture's dataset (400 users of the small preset);
+    // Q4.2 for its highest-out-degree user, profiled in both executors:
+    // same rows, and the batch-level anti-semi-join needs at most half the
+    // tuple interpreter's db hits.
+    let ds = generate(&GenConfig { users: 400, ..GenConfig::small() });
+    let dir = micrograph_common::unique_temp_dir("vexec-q4-profile");
+    let _ = std::fs::remove_dir_all(&dir);
+    let g = Guard(dir);
+    let (arbor, _bit, _) = build_engines(&ds.write_csv(&g.0).unwrap()).unwrap();
+    let mut out_degree: HashMap<u64, u64> = HashMap::new();
+    for &(a, _) in &ds.follows {
+        *out_degree.entry(a).or_insert(0) += 1;
+    }
+    let (&uid, _) = out_degree.iter().max_by_key(|&(u, d)| (*d, std::cmp::Reverse(*u))).unwrap();
+    let q4_2 = "MATCH (a:user {uid: $uid})-[:follows]->(f)<-[:follows]-(r) \
+                WHERE NOT (a)-[:follows]->(r) AND r.uid <> $uid \
+                RETURN r.uid, count(*) AS c ORDER BY c DESC, r.uid ASC LIMIT $n";
+    let params = [("uid", Value::Int(uid as i64)), ("n", Value::Int(10))];
+    let ql = arbor.ql();
+    ql.set_exec_mode(ExecMode::Tuple);
+    let tuple = ql.profile(q4_2, &params).unwrap();
+    ql.set_exec_mode(ExecMode::Vectorized);
+    let vec = ql.profile(q4_2, &params).unwrap();
+    assert_eq!(vec.result.rows, tuple.result.rows, "uid {uid}: exec flip moved Q4.2");
+    assert_eq!(vec.result.rows.len(), 10, "uid {uid}: vacuous Q4.2");
+    let (v, t) = (vec.result.stats.db_hits, tuple.result.stats.db_hits);
+    assert!(2 * v <= t, "uid {uid}: vectorized {v} db hits vs tuple {t}");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Random small multigraphs (self-loops, parallel edges and two
+    /// relationship types all occur): every pattern shape, positive and
+    /// negated, returns the same rows in both executors.
+    #[test]
+    fn pattern_filters_agree_on_random_graphs(
+        edges in prop::collection::vec((0i64..24, 0i64..24, 0usize..3), 0..160),
+        uid in 0i64..24,
+    ) {
+        let edges: Vec<(i64, i64, &str)> = edges
+            .into_iter()
+            .map(|(a, b, t)| (a, b, if t == 2 { "likes" } else { "follows" }))
+            .collect();
+        check_pattern_shapes(&pattern_graph(24, &edges), uid);
+    }
 }
 
 // ---- cardinality-statistics maintenance ------------------------------------
