@@ -55,21 +55,11 @@ impl Container {
 
     /// Inflates a Run container back to Array or Bits before mutation.
     fn deflate_runs(&mut self) {
-        if let Container::Run(runs, n) = self {
-            let count = *n;
-            let values = runs
-                .iter()
-                .flat_map(|&(start, len1)| start..=start.saturating_add(len1))
-                .collect::<Vec<u16>>();
-            *self = if count as usize > ARRAY_MAX {
-                let mut words = Box::new([0u64; BITSET_WORDS]);
-                for low in &values {
-                    words[(low >> 6) as usize] |= 1 << (low & 63);
-                }
-                Container::Bits(words, count)
-            } else {
-                Container::Array(values)
-            };
+        if let Container::Run(..) = self {
+            *self = Container::Array(self.iter().collect());
+            if self.len() as usize > ARRAY_MAX {
+                self.to_bits();
+            }
         }
     }
 
@@ -178,38 +168,84 @@ impl Container {
 
     #[allow(clippy::wrong_self_convention)] // in-place container conversion
     fn to_array(&mut self) {
-        if let Container::Bits(w, _) = self {
-            let mut v = Vec::new();
-            for (wi, &word) in w.iter().enumerate() {
-                let mut bits = word;
-                while bits != 0 {
-                    let b = bits.trailing_zeros();
-                    v.push(((wi as u32) << 6 | b) as u16);
-                    bits &= bits - 1;
-                }
-            }
+        if let Container::Bits(..) = self {
+            let v = self.iter().collect();
             *self = Container::Array(v);
         }
     }
 
-    fn iter(&self) -> Box<dyn Iterator<Item = u16> + '_> {
+    fn iter(&self) -> ContainerIter<'_> {
         match self {
-            Container::Array(v) => Box::new(v.iter().copied()),
-            Container::Bits(w, _) => Box::new(w.iter().enumerate().flat_map(|(wi, &word)| {
-                let mut out = Vec::with_capacity(word.count_ones() as usize);
-                let mut bits = word;
-                while bits != 0 {
-                    let b = bits.trailing_zeros();
-                    out.push(((wi as u32) << 6 | b) as u16);
-                    bits &= bits - 1;
+            Container::Array(v) => ContainerIter::Array(v.iter()),
+            Container::Bits(w, _) => ContainerIter::Bits { words: &w[..], wi: 0, word: w[0] },
+            Container::Run(runs, _) => ContainerIter::Run { runs: runs.iter(), next: 1, end: 0 },
+        }
+    }
+}
+
+/// Ascending walk over one container's low-16 values. A concrete enum, not
+/// a boxed iterator, so walking a bitmap allocates nothing.
+#[derive(Debug, Clone)]
+enum ContainerIter<'a> {
+    Array(std::slice::Iter<'a, u16>),
+    /// `word` holds the not-yet-yielded bits of `words[wi]`.
+    Bits { words: &'a [u64], wi: usize, word: u64 },
+    /// Yields `next..=end` of the current run (empty when `next > end`),
+    /// then moves to the next run.
+    Run { runs: std::slice::Iter<'a, (u16, u16)>, next: u32, end: u32 },
+}
+
+impl Iterator for ContainerIter<'_> {
+    type Item = u16;
+
+    #[inline]
+    fn next(&mut self) -> Option<u16> {
+        match self {
+            ContainerIter::Array(it) => it.next().copied(),
+            ContainerIter::Bits { words, wi, word } => {
+                while *word == 0 {
+                    *wi += 1;
+                    *word = *words.get(*wi)?;
                 }
-                out
-            })),
-            Container::Run(runs, _) => Box::new(
-                runs.iter()
-                    .flat_map(|&(start, len1)| start as u32..=start as u32 + len1 as u32)
-                    .map(|x| x as u16),
-            ),
+                let b = word.trailing_zeros();
+                *word &= *word - 1;
+                Some(((*wi as u32) << 6 | b) as u16)
+            }
+            ContainerIter::Run { runs, next, end } => {
+                if *next > *end {
+                    let &(start, len1) = runs.next()?;
+                    *next = start as u32;
+                    *end = start as u32 + len1 as u32;
+                }
+                let x = *next as u16;
+                *next += 1;
+                Some(x)
+            }
+        }
+    }
+}
+
+/// Ascending iterator over a [`Bitmap`] (see [`Bitmap::iter`]).
+#[derive(Debug, Clone)]
+pub struct Iter<'a> {
+    chunks: std::collections::btree_map::Iter<'a, u64, Container>,
+    /// High bits of the chunk `inner` walks.
+    hi: u64,
+    inner: ContainerIter<'a>,
+}
+
+impl Iterator for Iter<'_> {
+    type Item = u64;
+
+    #[inline]
+    fn next(&mut self) -> Option<u64> {
+        loop {
+            if let Some(lo) = self.inner.next() {
+                return Some(self.hi << 16 | lo as u64);
+            }
+            let (&hi, c) = self.chunks.next()?;
+            self.hi = hi;
+            self.inner = c.iter();
         }
     }
 }
@@ -283,10 +319,8 @@ impl Bitmap {
     }
 
     /// Iterates in ascending order.
-    pub fn iter(&self) -> impl Iterator<Item = u64> + '_ {
-        self.chunks
-            .iter()
-            .flat_map(|(&hi, c)| c.iter().map(move |lo| hi << 16 | lo as u64))
+    pub fn iter(&self) -> Iter<'_> {
+        Iter { chunks: self.chunks.iter(), hi: 0, inner: ContainerIter::Array([].iter()) }
     }
 
     /// Set union.
@@ -354,6 +388,106 @@ impl FromIterator<u64> for Bitmap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Insert(u64),
+        Remove(u64),
+        /// `(start, count, step)`: inserts `start + i * step` for `i < count`.
+        InsertStride(u64, u64, u64),
+        /// Same shape, removing.
+        RemoveStride(u64, u64, u64),
+        Optimize,
+    }
+
+    fn kind(c: &Container) -> &'static str {
+        match c {
+            Container::Array(_) => "array",
+            Container::Bits(..) => "bits",
+            Container::Run(..) => "run",
+        }
+    }
+
+    /// Applies `ops` to a bitmap and to a `BTreeSet` model, checking after
+    /// every step that `iter()` yields the model in ascending order and
+    /// `len()` equals its count. Returns the container kinds seen.
+    fn check_against_model(ops: &[Op]) -> BTreeSet<&'static str> {
+        let mut b = Bitmap::new();
+        let mut model = BTreeSet::new();
+        let mut kinds = BTreeSet::new();
+        let stride = |start: u64, count: u64, step: u64| (0..count).map(move |i| start + i * step);
+        for op in ops {
+            match *op {
+                Op::Insert(x) => assert_eq!(b.insert(x), model.insert(x)),
+                Op::Remove(x) => assert_eq!(b.remove(x), model.remove(&x)),
+                Op::InsertStride(s, n, k) => stride(s, n, k).for_each(|x| {
+                    assert_eq!(b.insert(x), model.insert(x));
+                }),
+                Op::RemoveStride(s, n, k) => stride(s, n, k).for_each(|x| {
+                    assert_eq!(b.remove(x), model.remove(&x));
+                }),
+                Op::Optimize => b.optimize(),
+            }
+            assert!(b.iter().eq(model.iter().copied()), "after {op:?}");
+            assert_eq!(b.len(), model.len() as u64, "after {op:?}");
+            kinds.extend(b.chunks.values().map(kind));
+        }
+        kinds
+    }
+
+    /// Values within 4,096 of the chunk boundaries 65,535 | 65,536 and
+    /// 131,072 (and of zero).
+    fn near_boundary() -> impl Strategy<Value = u64> {
+        (0usize..3, 0u64..8192).prop_map(|(e, off)| ([0, 65_536, 131_072][e] + off).saturating_sub(4096))
+    }
+
+    fn ops() -> impl Strategy<Value = Vec<Op>> {
+        prop::collection::vec(
+            prop_oneof![
+                4 => near_boundary().prop_map(Op::Insert),
+                3 => near_boundary().prop_map(Op::Remove),
+                2 => (near_boundary(), 0u64..6000, 1u64..4)
+                    .prop_map(|(s, n, k)| Op::InsertStride(s, n, k)),
+                2 => (near_boundary(), 0u64..6000, 1u64..4)
+                    .prop_map(|(s, n, k)| Op::RemoveStride(s, n, k)),
+                1 => Just(Op::Optimize),
+            ],
+            0..16,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The concrete iterator against a `BTreeSet`, across chunk
+        /// boundaries, Array <-> Bits conversions and Run containers.
+        #[test]
+        fn iter_matches_btreeset(ops in ops()) {
+            check_against_model(&ops);
+        }
+    }
+
+    #[test]
+    fn iter_walks_every_container_kind() {
+        use Op::*;
+        let kinds = check_against_model(&[
+            Optimize,                           // empty bitmap
+            Insert(65_535),                     // last value of chunk 0
+            Insert(65_536),                     // first value of chunk 1
+            Insert(131_072),                    // first value of chunk 2
+            InsertStride(61_000, 5_000, 2),     // chunk 0 passes 4,096: Array -> Bits
+            RemoveStride(61_000, 3_500, 2),     // ... and drops below 2,048: Bits -> Array
+            InsertStride(65_536, 10_000, 1),    // chunk 1 becomes a dense range
+            Optimize,                           // Bits -> Run
+            Insert(65_536 + 20_000),            // mutation re-inflates the run
+            Optimize,
+            Remove(65_540),                     // ... and so does removal
+            RemoveStride(0, 200_000, 1),        // back to empty
+        ]);
+        assert_eq!(kinds, BTreeSet::from(["array", "bits", "run"]));
+    }
 
     #[test]
     fn insert_contains_remove() {

@@ -519,25 +519,45 @@ impl Graph {
 
     /// The **unique neighbor nodes** of `node` over `etype` edges.
     pub fn neighbors(&self, node: Oid, etype: u32, dir: EdgesDirection) -> Result<Objects> {
-        self.stats.neighbors_calls.fetch_add(1, Ordering::Relaxed);
-        if let Some(index) = &self.neighbor_index {
-            let mut out = Bitmap::new();
-            for &d in dirs(dir) {
-                if let Some(bm) = index.get(&(etype, d)).and_then(|m| m.get(&node)) {
-                    out = out.or(bm);
-                }
-            }
-            return Ok(Objects::from_bitmap(out));
-        }
         let mut out = Objects::new();
+        self.for_each_neighbor(node, etype, dir, |n| {
+            out.add(n);
+            true
+        })?;
+        Ok(out)
+    }
+
+    /// Calls `f` on each neighbor node of `node` over `etype` edges, in
+    /// adjacency order, until `f` returns `false`. Builds no [`Objects`]:
+    /// peers of parallel edges (and, under [`EdgesDirection::Any`], of
+    /// edges in both directions) may repeat. Counts as one `neighbors`
+    /// call in [`GraphStats`].
+    pub fn for_each_neighbor(
+        &self,
+        node: Oid,
+        etype: u32,
+        dir: EdgesDirection,
+        mut f: impl FnMut(Oid) -> bool,
+    ) -> Result<()> {
+        self.stats.neighbors_calls.fetch_add(1, Ordering::Relaxed);
         for &d in dirs(dir) {
-            if let Some(bm) = self.adjacency.get(&(etype, d)).and_then(|m| m.get(&node)) {
+            if let Some(index) = &self.neighbor_index {
+                if let Some(bm) = index.get(&(etype, d)).and_then(|m| m.get(&node)) {
+                    for n in bm.iter() {
+                        if !f(n) {
+                            return Ok(());
+                        }
+                    }
+                }
+            } else if let Some(bm) = self.adjacency.get(&(etype, d)).and_then(|m| m.get(&node)) {
                 for edge in bm.iter() {
-                    out.add(self.peer(edge, node)?);
+                    if !f(self.peer(edge, node)?) {
+                        return Ok(());
+                    }
                 }
             }
         }
-        Ok(out)
+        Ok(())
     }
 
     /// The **edge oids** incident to `node` over `etype`.

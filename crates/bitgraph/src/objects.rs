@@ -6,7 +6,7 @@
 //! LIMIT — "in order to limit the returned results, the entire result set
 //! must be retrieved and filtered programmatically".
 
-use crate::bitmap::Bitmap;
+use crate::bitmap::{self, Bitmap};
 use crate::graph::Oid;
 
 /// An unordered set of object identifiers (bitmap-backed).
@@ -73,7 +73,7 @@ impl Objects {
     }
 
     /// Iterates the oids (ascending id order — *not* a semantic ordering).
-    pub fn iter(&self) -> impl Iterator<Item = Oid> + '_ {
+    pub fn iter(&self) -> bitmap::Iter<'_> {
         self.bits.iter()
     }
 
@@ -91,10 +91,10 @@ impl FromIterator<Oid> for Objects {
 
 impl<'a> IntoIterator for &'a Objects {
     type Item = Oid;
-    type IntoIter = Box<dyn Iterator<Item = Oid> + 'a>;
+    type IntoIter = bitmap::Iter<'a>;
 
     fn into_iter(self) -> Self::IntoIter {
-        Box::new(self.bits.iter())
+        self.bits.iter()
     }
 }
 

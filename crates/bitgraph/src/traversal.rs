@@ -5,9 +5,13 @@
 //! engine's primitive is a plain **unidirectional** BFS with a hop bound —
 //! by design the less sophisticated of the two engines' path primitives
 //! (Figure 4(g)/(h): "Neo4j seems to perform shortest path queries more
-//! efficiently").
+//! efficiently"). It never searches from `to`, never meets frontiers and
+//! never switches to a bottom-up step; what it does do is run
+//! allocation-free per expanded node (a dense visited bitset, reused
+//! frontiers, neighbors streamed from the adjacency bitmaps) and return
+//! only the hop count, which is all Q6.1 asks for.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::graph::{EdgesDirection, Graph, Oid};
 use crate::objects::Objects;
@@ -101,49 +105,63 @@ impl Iterator for TraversalDfs<'_> {
     }
 }
 
-/// Single-pair shortest path by unidirectional BFS, bounded by `max_hops`.
-/// Returns the node sequence `from..=to` or `None`.
-pub fn single_pair_shortest_path_bfs(
+/// `SinglePairShortestPathBFS`: the hop count of a shortest `from → to`
+/// path over `etype` edges in `dir`, or `None` when there is none within
+/// `max_hops` (`Some(0)` when `from == to`).
+///
+/// A level-synchronous unidirectional BFS. The visited set is a dense
+/// bitset over the graph's oid range, the two frontiers are reused across
+/// levels, and neighbors are streamed from the adjacency bitmaps by
+/// [`Graph::for_each_neighbor`], so expanding a node allocates nothing.
+/// `to` is recognised when it is discovered, so the last level is expanded
+/// only until it turns up. Each expanded node counts as one `neighbors`
+/// call.
+pub fn single_pair_shortest_path_len(
     graph: &Graph,
     from: Oid,
     to: Oid,
     etype: u32,
     dir: EdgesDirection,
     max_hops: u32,
-) -> Result<Option<Vec<Oid>>> {
+) -> Result<Option<u32>> {
     if from == to {
-        return Ok(Some(vec![from]));
+        return Ok(Some(0));
     }
-    let mut parent: HashMap<Oid, Oid> = HashMap::new();
-    parent.insert(from, from);
+    let n = graph.object_count();
+    if from >= n {
+        return Ok(None);
+    }
+    let mut visited = vec![0u64; n.div_ceil(64) as usize];
+    visited[(from >> 6) as usize] |= 1 << (from & 63);
     let mut frontier = vec![from];
-    for _ in 0..max_hops {
-        let mut next = Vec::new();
-        for &n in &frontier {
-            for nb in graph.neighbors(n, etype, dir)?.iter() {
-                if parent.contains_key(&nb) {
-                    continue;
+    let mut next = Vec::new();
+    for depth in 1..=max_hops {
+        let last = depth == max_hops;
+        let mut found = false;
+        for &u in &frontier {
+            graph.for_each_neighbor(u, etype, dir, |v| {
+                if v == to {
+                    found = true;
+                    return false;
                 }
-                parent.insert(nb, n);
-                if nb == to {
-                    let mut path = vec![to];
-                    let mut at = to;
-                    while at != from {
-                        at = parent[&at];
-                        path.push(at);
-                    }
-                    path.reverse();
-                    return Ok(Some(path));
+                let (word, bit) = (&mut visited[(v >> 6) as usize], 1u64 << (v & 63));
+                if !last && *word & bit == 0 {
+                    *word |= bit;
+                    next.push(v);
                 }
-                next.push(nb);
+                true
+            })?;
+            if found {
+                return Ok(Some(depth));
             }
         }
         if next.is_empty() {
-            return Ok(None);
+            return Ok(None); // also the exit after the last level
         }
-        frontier = next;
+        std::mem::swap(&mut frontier, &mut next);
+        next.clear();
     }
-    Ok(None)
+    Ok(None) // max_hops == 0
 }
 
 #[cfg(test)]
@@ -198,35 +216,122 @@ mod tests {
     #[test]
     fn shortest_path_takes_shortcut() {
         let (g, n, f) = chain();
-        let p = single_pair_shortest_path_bfs(&g, n[0], n[3], f, EdgesDirection::Outgoing, 5)
-            .unwrap()
-            .unwrap();
-        assert_eq!(p, vec![n[0], n[2], n[3]]);
+        let len = single_pair_shortest_path_len(&g, n[0], n[3], f, EdgesDirection::Outgoing, 5);
+        assert_eq!(len.unwrap(), Some(2), "n0 -> n2 -> n3");
     }
 
     #[test]
     fn shortest_path_hop_bound() {
         let (g, n, f) = chain();
-        assert!(single_pair_shortest_path_bfs(&g, n[0], n[4], f, EdgesDirection::Outgoing, 2)
-            .unwrap()
-            .is_none());
-        assert!(single_pair_shortest_path_bfs(&g, n[0], n[4], f, EdgesDirection::Outgoing, 3)
-            .unwrap()
-            .is_some());
+        let len = |max| {
+            single_pair_shortest_path_len(&g, n[0], n[4], f, EdgesDirection::Outgoing, max).unwrap()
+        };
+        assert_eq!(len(2), None);
+        assert_eq!(len(3), Some(3));
     }
 
     #[test]
     fn shortest_path_identity_and_unreachable() {
         let (mut g, n, f) = chain();
         assert_eq!(
-            single_pair_shortest_path_bfs(&g, n[1], n[1], f, EdgesDirection::Outgoing, 3)
-                .unwrap(),
-            Some(vec![n[1]])
+            single_pair_shortest_path_len(&g, n[1], n[1], f, EdgesDirection::Outgoing, 0).unwrap(),
+            Some(0)
         );
         let user = g.find_type("user").unwrap();
         let lonely = g.add_node(user).unwrap();
-        assert!(single_pair_shortest_path_bfs(&g, n[0], lonely, f, EdgesDirection::Any, 10)
-            .unwrap()
-            .is_none());
+        assert_eq!(
+            single_pair_shortest_path_len(&g, n[0], lonely, f, EdgesDirection::Any, 10).unwrap(),
+            None
+        );
+        assert_eq!(
+            single_pair_shortest_path_len(&g, lonely, n[0], f, EdgesDirection::Any, 10).unwrap(),
+            None
+        );
+    }
+
+    /// Hop distances from `from` by brute-force BFS over an adjacency list
+    /// built from the generated edge list (never from a `Graph`).
+    fn reference_distances(
+        nodes: usize,
+        edges: &[(usize, usize)],
+        from: usize,
+        dir: EdgesDirection,
+    ) -> Vec<Option<u32>> {
+        let mut adj = vec![Vec::new(); nodes];
+        for &(s, d) in edges {
+            if dir != EdgesDirection::Ingoing {
+                adj[s].push(d);
+            }
+            if dir != EdgesDirection::Outgoing {
+                adj[d].push(s);
+            }
+        }
+        let mut dist = vec![None; nodes];
+        dist[from] = Some(0);
+        let mut queue = VecDeque::from([from]);
+        while let Some(u) = queue.pop_front() {
+            let du = dist[u].unwrap();
+            for &v in &adj[u] {
+                if dist[v].is_none() {
+                    dist[v] = Some(du + 1);
+                    queue.push_back(v);
+                }
+            }
+        }
+        dist
+    }
+
+    fn direction(i: u8) -> EdgesDirection {
+        [EdgesDirection::Outgoing, EdgesDirection::Ingoing, EdgesDirection::Any][i as usize]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The length equals the reference distance, and the work is
+        /// bounded by the reference: a `None` answer expands exactly the
+        /// nodes within `max_hops - 1` hops, a `Some(d)` answer at most
+        /// those within `d - 1` hops.
+        #[test]
+        fn shortest_path_len_matches_reference(
+            nodes in 1usize..14,
+            edges in proptest::prelude::prop::collection::vec((0usize..14, 0usize..14), 0..40),
+            ends in (0usize..14, 0usize..14),
+            same in 0u8..4,
+            dir in 0u8..3,
+            max_hops in 0u32..=5,
+            materialize in proptest::prelude::any::<bool>(),
+        ) {
+            // Self-loops, parallel edges and isolated nodes all arise from
+            // reducing random endpoints modulo `nodes`; `same == 0` forces
+            // `from == to`.
+            let edges: Vec<(usize, usize)> =
+                edges.into_iter().map(|(s, d)| (s % nodes, d % nodes)).collect();
+            let from = ends.0 % nodes;
+            let to = if same == 0 { from } else { ends.1 % nodes };
+            let dir = direction(dir);
+
+            let mut g = Graph::new(GraphConfig { materialize_neighbors: materialize, ..Default::default() });
+            let user = g.new_node_type("user").unwrap();
+            let follows = g.new_edge_type("follows").unwrap();
+            let oids: Vec<Oid> = (0..nodes).map(|_| g.add_node(user).unwrap()).collect();
+            for &(s, d) in &edges {
+                g.add_edge(follows, oids[s], oids[d]).unwrap();
+            }
+
+            let dist = reference_distances(nodes, &edges, from, dir);
+            let expect = dist[to].filter(|&d| d <= max_hops);
+            let within = |hops: u32| dist.iter().filter(|d| d.is_some_and(|d| d <= hops)).count() as u64;
+
+            let before = g.stats().neighbors_calls;
+            let got =
+                single_pair_shortest_path_len(&g, oids[from], oids[to], follows, dir, max_hops).unwrap();
+            let calls = g.stats().neighbors_calls - before;
+            proptest::prop_assert_eq!(got, expect);
+            match got {
+                None => proptest::prop_assert_eq!(calls, max_hops.checked_sub(1).map_or(0, within)),
+                Some(d) => proptest::prop_assert!(calls <= d.checked_sub(1).map_or(0, within)),
+            }
+        }
     }
 }

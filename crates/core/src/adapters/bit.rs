@@ -22,7 +22,7 @@ use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
 use bitgraph::graph::{Condition, EdgesDirection, Graph, Oid};
-use bitgraph::traversal::single_pair_shortest_path_bfs;
+use bitgraph::traversal::single_pair_shortest_path_len;
 use micrograph_common::topn::{merge_top_n, Counted, TopKPartial, TopN};
 use micrograph_common::Value;
 use parking_lot::{RwLock, RwLockReadGuard};
@@ -533,15 +533,7 @@ impl MicroblogEngine for BitEngine {
         let (Some(oa), Some(ob)) = (self.user_oid(&g, a)?, self.user_oid(&g, b)?) else {
             return Ok(None);
         };
-        Ok(single_pair_shortest_path_bfs(
-            &g,
-            oa,
-            ob,
-            self.h.follows,
-            EdgesDirection::Any,
-            max_hops,
-        )?
-        .map(|p| p.len() as u32 - 1))
+        Ok(single_pair_shortest_path_len(&g, oa, ob, self.h.follows, EdgesDirection::Any, max_hops)?)
     }
 
     fn tweets_with_hashtag(&self, tag: &str) -> Result<Vec<i64>> {
