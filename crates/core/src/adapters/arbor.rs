@@ -119,28 +119,6 @@ const K_IN_COUNTS_BATCH: &str =
 const K_FRONTIER_BATCH: &str = "MATCH (a:user)-[:follows]-(x:user) WHERE a.uid IN $uids \
                                 RETURN DISTINCT x.uid ORDER BY x.uid";
 
-// Candidate-probe texts (the TA merge's exact-count phase, DESIGN.md §4f):
-// the candidate keys ride along as a second list parameter, filtered
-// engine-side, so a probe never recomputes the full local count map.
-
-const K_CO_MENTION_COUNTS_FOR: &str =
-    "MATCH (a:user {uid: $uid})<-[:mentions]-(t:tweet)-[:mentions]->(b:user) \
-     WHERE b.uid <> $uid AND b.uid IN $keys \
-     RETURN b.uid, count(*) AS c ORDER BY b.uid ASC";
-
-const K_CO_TAG_COUNTS_FOR: &str =
-    "MATCH (g:hashtag {tag: $tag})<-[:tags]-(t:tweet)-[:tags]->(h:hashtag) \
-     WHERE h.tag <> $tag AND h.tag IN $keys \
-     RETURN h.tag, count(*) AS c ORDER BY h.tag ASC";
-
-const K_OUT_COUNTS_FOR: &str =
-    "MATCH (a:user)-[:follows]->(f:user) WHERE a.uid IN $uids AND f.uid IN $keys \
-     RETURN a.uid, f.uid, count(*) AS c ORDER BY a.uid, f.uid";
-
-const K_IN_COUNTS_FOR: &str =
-    "MATCH (x:user)-[:follows]->(a:user) WHERE a.uid IN $uids AND x.uid IN $keys \
-     RETURN a.uid, x.uid, count(*) AS c ORDER BY a.uid, x.uid";
-
 const K_CO_MENTION: &str =
     "MATCH (a:user {uid: $uid})<-[:mentions]-(t:tweet)-[:mentions]->(b:user) \
      WHERE b.uid <> $uid \
@@ -154,10 +132,12 @@ const K_CO_TAG: &str =
 // Top-n pushdown kernels (DESIGN.md §4f) are answered exhaustively here
 // (bound 0, DESIGN.md §4h): the grouped count costs the declarative engine
 // the same at any LIMIT, partials ship in-process, and a truncated answer
-// forces the TA merge into counts_for rounds that re-run the whole
-// grouping. Q5's pushdown reuses the monolithic Q5_1/Q5_2 texts, which
-// already carry a LIMIT (per-shard candidate sets are disjoint, so its
-// merge is single-round regardless of the bound).
+// would force the TA merge into counts_for rounds that re-run the whole
+// grouping. Exhaustive partials never reach that phase, so the
+// `*_counts_for_kernel` probes keep the trait defaults. Q5's pushdown
+// reuses the monolithic Q5_1/Q5_2 texts, which already carry a LIMIT
+// (per-shard candidate sets are disjoint, so its merge is single-round
+// regardless of the bound).
 
 /// Lazily prepared plans for the kernel texts a shard fan-out runs hottest:
 /// each shard executes the same fixed text per scatter leg, so the adapter
@@ -172,10 +152,6 @@ struct PreparedKernels {
     out_counts_batch: OnceLock<Prepared>,
     in_counts_batch: OnceLock<Prepared>,
     frontier_batch: OnceLock<Prepared>,
-    co_mention_counts_for: OnceLock<Prepared>,
-    co_tag_counts_for: OnceLock<Prepared>,
-    out_counts_for: OnceLock<Prepared>,
-    in_counts_for: OnceLock<Prepared>,
 }
 
 /// How often each uid occurs in a kernel's input list. `IN` dedups its
@@ -188,6 +164,13 @@ fn multiplicity(uids: &[i64]) -> HashMap<i64, u64> {
         *mult.entry(uid).or_insert(0) += 1;
     }
     mult
+}
+
+/// Binds a top-n size as a `LIMIT` parameter. Sizes past `i64::MAX` clamp
+/// to it: no graph holds that many rows, so the answer is the same, and a
+/// plain `as i64` cast would wrap to a negative (rejected) or zero limit.
+fn limit(n: usize) -> Value {
+    Value::Int(i64::try_from(n).unwrap_or(i64::MAX))
 }
 
 /// Collapses `(key, weighted count)` pairs — sorted by key with possible
@@ -209,10 +192,6 @@ pub struct ArborEngine {
     db: Arc<GraphDb>,
     ql: QueryEngine,
     prep: PreparedKernels,
-    /// Whether kernels run their whole uid batch as one `IN $uids` query
-    /// (the default) or one singleton query per uid — the pre-batching
-    /// baseline kept selectable for the serving-gap artifact.
-    batched: std::sync::atomic::AtomicBool,
 }
 
 impl ArborEngine {
@@ -222,7 +201,6 @@ impl ArborEngine {
             ql: QueryEngine::new(db.clone()),
             db,
             prep: PreparedKernels::default(),
-            batched: std::sync::atomic::AtomicBool::new(true),
         }
     }
 
@@ -232,12 +210,7 @@ impl ArborEngine {
             ql: QueryEngine::with_options(db.clone(), options),
             db,
             prep: PreparedKernels::default(),
-            batched: std::sync::atomic::AtomicBool::new(true),
         }
-    }
-
-    fn batched_enabled(&self) -> bool {
-        self.batched.load(std::sync::atomic::Ordering::Relaxed)
     }
 
     /// Prepares `text` once per engine; a racing second caller just drops
@@ -290,13 +263,12 @@ impl ArborEngine {
         cell: &OnceLock<Prepared>,
         text: &str,
         uids: &[i64],
-        params: &[(&str, Value)],
     ) -> Result<Vec<(i64, u64)>> {
         if uids.is_empty() {
             return Ok(Vec::new());
         }
         let p = self.prepared(cell, text)?;
-        let r = self.ql.query_prepared(p, params)?;
+        let r = self.ql.query_prepared(p, &[("uids", Value::from(uids))])?;
         let mult = multiplicity(uids);
         let mut pairs: Vec<(i64, u64)> = Vec::with_capacity(r.rows.len());
         for row in &r.rows {
@@ -304,20 +276,6 @@ impl ArborEngine {
             let target = row[1].as_int().expect("target uid");
             let count = row[2].as_int().expect("count") as u64;
             pairs.push((target, count * mult[&anchor]));
-        }
-        Ok(merge_count_runs(pairs))
-    }
-
-    /// The pre-batching baseline for a count kernel: one singleton query
-    /// per uid, summed client-side.
-    fn looped_counts(
-        &self,
-        uids: &[i64],
-        per_uid: impl Fn(i64) -> Result<Vec<(i64, u64)>>,
-    ) -> Result<Vec<(i64, u64)>> {
-        let mut pairs = Vec::new();
-        for &uid in uids {
-            pairs.extend(per_uid(uid)?);
         }
         Ok(merge_count_runs(pairs))
     }
@@ -436,7 +394,7 @@ impl ArborEngine {
             RecommendationPhrasing::Canonical => Q4_1_B,
             RecommendationPhrasing::Undirected => Q4_1_C,
         };
-        self.ranked_ints(text, &[("uid", Value::Int(uid)), ("n", Value::Int(n as i64))])
+        self.ranked_ints(text, &[("uid", Value::Int(uid)), ("n", limit(n))])
     }
 
     // ---- "core API" (traversal framework) variants -------------------------
@@ -521,13 +479,13 @@ impl MicroblogEngine for ArborEngine {
     }
 
     fn co_mentioned_users(&self, uid: i64, n: usize) -> Result<Vec<Ranked<i64>>> {
-        self.ranked_ints(Q3_1, &[("uid", Value::Int(uid)), ("n", Value::Int(n as i64))])
+        self.ranked_ints(Q3_1, &[("uid", Value::Int(uid)), ("n", limit(n))])
     }
 
     fn co_occurring_hashtags(&self, tag: &str, n: usize) -> Result<Vec<Ranked<String>>> {
         let r = self
             .ql
-            .query(Q3_2, &[("tag", Value::from(tag)), ("n", Value::Int(n as i64))])?;
+            .query(Q3_2, &[("tag", Value::from(tag)), ("n", limit(n))])?;
         Ok(r.rows
             .iter()
             .map(|row| {
@@ -544,15 +502,15 @@ impl MicroblogEngine for ArborEngine {
     }
 
     fn recommend_followers(&self, uid: i64, n: usize) -> Result<Vec<Ranked<i64>>> {
-        self.ranked_ints(Q4_2, &[("uid", Value::Int(uid)), ("n", Value::Int(n as i64))])
+        self.ranked_ints(Q4_2, &[("uid", Value::Int(uid)), ("n", limit(n))])
     }
 
     fn current_influence(&self, uid: i64, n: usize) -> Result<Vec<Ranked<i64>>> {
-        self.ranked_ints(Q5_1, &[("uid", Value::Int(uid)), ("n", Value::Int(n as i64))])
+        self.ranked_ints(Q5_1, &[("uid", Value::Int(uid)), ("n", limit(n))])
     }
 
     fn potential_influence(&self, uid: i64, n: usize) -> Result<Vec<Ranked<i64>>> {
-        self.ranked_ints(Q5_2, &[("uid", Value::Int(uid)), ("n", Value::Int(n as i64))])
+        self.ranked_ints(Q5_2, &[("uid", Value::Int(uid)), ("n", limit(n))])
     }
 
     fn shortest_path_len(&self, a: i64, b: i64, max_hops: u32) -> Result<Option<u32>> {
@@ -595,14 +553,6 @@ impl MicroblogEngine for ArborEngine {
     }
 
     fn posted_tweets_kernel(&self, uids: &[i64]) -> Result<Vec<i64>> {
-        if !self.batched_enabled() && uids.len() > 1 {
-            let mut out = Vec::new();
-            for &uid in uids {
-                out.extend(self.posted_tweets_kernel(&[uid])?);
-            }
-            out.sort_unstable();
-            return Ok(out);
-        }
         if uids.is_empty() {
             return Ok(Vec::new());
         }
@@ -622,15 +572,6 @@ impl MicroblogEngine for ArborEngine {
     }
 
     fn hashtags_kernel(&self, uids: &[i64]) -> Result<Vec<String>> {
-        if !self.batched_enabled() && uids.len() > 1 {
-            let mut tags: Vec<String> = Vec::new();
-            for &uid in uids {
-                tags.extend(self.hashtags_kernel(&[uid])?);
-            }
-            tags.sort_unstable();
-            tags.dedup();
-            return Ok(tags);
-        }
         if uids.is_empty() {
             return Ok(Vec::new());
         }
@@ -643,27 +584,11 @@ impl MicroblogEngine for ArborEngine {
     }
 
     fn count_followees_kernel(&self, uids: &[i64]) -> Result<Vec<(i64, u64)>> {
-        if !self.batched_enabled() && uids.len() > 1 {
-            return self.looped_counts(uids, |uid| self.count_followees_kernel(&[uid]));
-        }
-        self.grouped_counts(
-            &self.prep.out_counts_batch,
-            K_OUT_COUNTS_BATCH,
-            uids,
-            &[("uids", Value::from(uids))],
-        )
+        self.grouped_counts(&self.prep.out_counts_batch, K_OUT_COUNTS_BATCH, uids)
     }
 
     fn count_followers_kernel(&self, uids: &[i64]) -> Result<Vec<(i64, u64)>> {
-        if !self.batched_enabled() && uids.len() > 1 {
-            return self.looped_counts(uids, |uid| self.count_followers_kernel(&[uid]));
-        }
-        self.grouped_counts(
-            &self.prep.in_counts_batch,
-            K_IN_COUNTS_BATCH,
-            uids,
-            &[("uids", Value::from(uids))],
-        )
+        self.grouped_counts(&self.prep.in_counts_batch, K_IN_COUNTS_BATCH, uids)
     }
 
     fn co_mention_counts_kernel(&self, uid: i64) -> Result<Vec<(i64, u64)>> {
@@ -690,15 +615,6 @@ impl MicroblogEngine for ArborEngine {
     fn follow_frontier_kernel(&self, uids: &[i64]) -> Result<Vec<i64>> {
         // One undirected BFS round over locally stored follows edges, as a
         // single batched query (DISTINCT + ORDER BY give the sorted set).
-        if !self.batched_enabled() && uids.len() > 1 {
-            let mut next: Vec<i64> = Vec::new();
-            for &uid in uids {
-                next.extend(self.follow_frontier_kernel(&[uid])?);
-            }
-            next.sort_unstable();
-            next.dedup();
-            return Ok(next);
-        }
         if uids.is_empty() {
             return Ok(Vec::new());
         }
@@ -708,86 +624,6 @@ impl MicroblogEngine for ArborEngine {
             .iter()
             .map(|row| row[0].as_int().expect("uid column"))
             .collect())
-    }
-
-    // ---- candidate-probe kernels: keys filtered engine-side ----------------
-
-    fn co_mention_counts_for_kernel(&self, uid: i64, keys: &[i64]) -> Result<Vec<(i64, u64)>> {
-        if !self.batched_enabled() {
-            // Pre-batching baseline: the trait-default shape (full local
-            // counts, filtered client-side).
-            return Ok(crate::engine::counts_for(self.co_mention_counts_kernel(uid)?, keys));
-        }
-        if keys.is_empty() {
-            return Ok(Vec::new());
-        }
-        let p = self.prepared(&self.prep.co_mention_counts_for, K_CO_MENTION_COUNTS_FOR)?;
-        let r = self
-            .ql
-            .query_prepared(p, &[("uid", Value::Int(uid)), ("keys", Value::from(keys))])?;
-        Ok(r.rows
-            .iter()
-            .map(|row| (row[0].as_int().expect("uid"), row[1].as_int().expect("count") as u64))
-            .collect())
-    }
-
-    fn co_tag_counts_for_kernel(&self, tag: &str, keys: &[String]) -> Result<Vec<(String, u64)>> {
-        if !self.batched_enabled() {
-            return Ok(crate::engine::counts_for(self.co_tag_counts_kernel(tag)?, keys));
-        }
-        if keys.is_empty() {
-            return Ok(Vec::new());
-        }
-        let p = self.prepared(&self.prep.co_tag_counts_for, K_CO_TAG_COUNTS_FOR)?;
-        let key_list = Value::List(keys.iter().map(|k| Value::from(k.as_str())).collect());
-        let r = self.ql.query_prepared(p, &[("tag", Value::from(tag)), ("keys", key_list)])?;
-        Ok(r.rows
-            .iter()
-            .map(|row| {
-                (
-                    row[0].as_str().expect("tag").to_owned(),
-                    row[1].as_int().expect("count") as u64,
-                )
-            })
-            .collect())
-    }
-
-    fn count_followees_counts_for_kernel(
-        &self,
-        uids: &[i64],
-        keys: &[i64],
-    ) -> Result<Vec<(i64, u64)>> {
-        if !self.batched_enabled() {
-            return Ok(crate::engine::counts_for(self.count_followees_kernel(uids)?, keys));
-        }
-        if keys.is_empty() {
-            return Ok(Vec::new());
-        }
-        self.grouped_counts(
-            &self.prep.out_counts_for,
-            K_OUT_COUNTS_FOR,
-            uids,
-            &[("uids", Value::from(uids)), ("keys", Value::from(keys))],
-        )
-    }
-
-    fn count_followers_counts_for_kernel(
-        &self,
-        uids: &[i64],
-        keys: &[i64],
-    ) -> Result<Vec<(i64, u64)>> {
-        if !self.batched_enabled() {
-            return Ok(crate::engine::counts_for(self.count_followers_kernel(uids)?, keys));
-        }
-        if keys.is_empty() {
-            return Ok(Vec::new());
-        }
-        self.grouped_counts(
-            &self.prep.in_counts_for,
-            K_IN_COUNTS_FOR,
-            uids,
-            &[("uids", Value::from(uids)), ("keys", Value::from(keys))],
-        )
     }
 
     // ---- top-n pushdown kernels: LIMIT pushed into the sort operator -------
@@ -815,7 +651,7 @@ impl MicroblogEngine for ArborEngine {
         };
         let r = self.ql.query_prepared(
             p,
-            &[("uid", Value::Int(uid)), ("n", Value::Int(k as i64 + 1))],
+            &[("uid", Value::Int(uid)), ("n", limit(k.saturating_add(1)))],
         )?;
         let ranked: Vec<Ranked<i64>> = r
             .rows
@@ -962,15 +798,6 @@ impl MicroblogEngine for ArborEngine {
 
     fn set_exec_mode(&self, mode: ExecMode) -> bool {
         self.ql.set_exec_mode(mode);
-        true
-    }
-
-    fn batched_kernels(&self) -> Option<bool> {
-        Some(self.batched_enabled())
-    }
-
-    fn set_batched_kernels(&self, on: bool) -> bool {
-        self.batched.store(on, std::sync::atomic::Ordering::Relaxed);
         true
     }
 }

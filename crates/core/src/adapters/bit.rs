@@ -735,15 +735,6 @@ impl MicroblogEngine for BitEngine {
         Ok(topk_bounded(self.counted_uids(&g, counts, exclude)?, k))
     }
 
-    fn count_followees_counts_for_kernel(
-        &self,
-        uids: &[i64],
-        keys: &[i64],
-    ) -> Result<Vec<(i64, u64)>> {
-        let full = self.count_followees_kernel(uids)?;
-        Ok(full.into_iter().filter(|(key, _)| keys.binary_search(key).is_ok()).collect())
-    }
-
     fn count_followers_topn_kernel(
         &self,
         uids: &[i64],
@@ -759,15 +750,6 @@ impl MicroblogEngine for BitEngine {
             }
         }
         Ok(topk_bounded(self.counted_uids(&g, counts, exclude)?, k))
-    }
-
-    fn count_followers_counts_for_kernel(
-        &self,
-        uids: &[i64],
-        keys: &[i64],
-    ) -> Result<Vec<(i64, u64)>> {
-        let full = self.count_followers_kernel(uids)?;
-        Ok(full.into_iter().filter(|(key, _)| keys.binary_search(key).is_ok()).collect())
     }
 
     fn influence_topn_kernel(&self, uid: i64, current: bool, k: usize) -> Result<TopKPartial<i64>> {

@@ -435,18 +435,17 @@ pub trait MicroblogEngine: Send + Sync {
         false
     }
 
-    /// Whether shard-local kernels execute their whole uid batch as ONE
-    /// set-oriented query (DESIGN.md §4h) — `None` for engines without a
-    /// batching toggle (bitgraph's kernels are native in-memory loops with
-    /// no per-call dispatch to amortize). Like the other toggles, a pure
-    /// performance switch: flipping it never moves a byte of any answer.
+    /// Kernel batching is not a toggle in any in-tree engine: arbordb
+    /// kernels always run their uid batch as one set-oriented query
+    /// (DESIGN.md §4h), so every engine answers `None`. The method stays
+    /// only because the benchmark's tracing wrapper implements every
+    /// trait method; removing it needs a change that owns the benchmark.
     fn batched_kernels(&self) -> Option<bool> {
         None
     }
 
-    /// Switches kernel batching at runtime, returning `false` when the
-    /// engine has no toggle. `&self` like every other method — benches
-    /// flip one built engine between modes mid-run.
+    /// Always `false`: no engine has a batching toggle. Kept for the same
+    /// reason as [`MicroblogEngine::batched_kernels`].
     fn set_batched_kernels(&self, _on: bool) -> bool {
         false
     }

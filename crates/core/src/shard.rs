@@ -35,13 +35,13 @@
 //! cost) instead of the sum.
 //!
 //! Tail latency (DESIGN.md §4f) is engineered with two answer-neutral
-//! levers: **deterministic hedged requests** ([`hedged_call`] — a scatter
-//! shard call whose virtual spend exceeds the armed threshold races a
-//! re-issued copy, and the winner's *time* is charged while the primary's
-//! *bytes* stand) and **per-shard top-n pushdown** ([`pushdown_top_n`] — a
-//! threshold-algorithm merge over bounded `*_topn_kernel` partials that
-//! replaces full per-shard count maps for Q3/Q4/Q5). Both are on/off
-//! togglable at runtime and flipping either never moves a digest.
+//! levers: **per-shard top-n pushdown** ([`pushdown_top_n`] — the only
+//! Q3/Q4/Q5 merge: a threshold-algorithm loop over bounded `*_topn_kernel`
+//! partials instead of full per-shard count maps) and **deterministic
+//! hedged requests** ([`hedged_call`] — a scatter shard call whose virtual
+//! spend exceeds the armed threshold races a re-issued copy, and the
+//! winner's *time* is charged while the primary's *bytes* stand). Hedging
+//! is armed at runtime and arming it never moves a digest.
 //!
 //! Replication (DESIGN.md §4i): every shard slot holds a [`ReplicaGroup`]
 //! — R engines ingested from the **same** partition dataset
@@ -175,28 +175,6 @@ fn to_ranked<K>(top: Vec<Counted<K>>) -> Vec<Ranked<K>> {
     top.into_iter().map(|c| Ranked::new(c.key, c.count)).collect()
 }
 
-/// Q4 merge: sum partial counts, drop the subject and already-followed
-/// users, rank with the global tie-break.
-fn merge_recommend(
-    uid: i64,
-    followed: &[i64],
-    parts: Vec<Vec<(i64, u64)>>,
-    n: usize,
-) -> Vec<Ranked<i64>> {
-    let followed: BTreeSet<i64> = followed.iter().copied().collect();
-    let kept = parts
-        .into_iter()
-        .map(|part| {
-            counted(
-                part.into_iter()
-                    .filter(|&(r, _)| r != uid && !followed.contains(&r))
-                    .collect(),
-            )
-        })
-        .collect();
-    to_ranked(merge_top_n(kept, n))
-}
-
 /// Q4's kernel-side exclusion set: the subject plus everyone they already
 /// follow, sorted ascending (the `*_topn_kernel` contract) and deduped.
 fn exclusion_list(uid: i64, followed: &[i64]) -> Vec<i64> {
@@ -221,14 +199,13 @@ fn exclusion_list(uid: i64, followed: &[i64]) -> Vec<i64> {
 /// Termination: `k` doubles each round, so the bounds reach 0 once `k`
 /// covers the largest shard-local candidate list. Under Partial
 /// degradation lost shards simply contribute no partial (and no bound) —
-/// the loop still terminates and degrades exactly like the full-map path:
-/// best effort over the shards that answered.
+/// the loop still terminates, best effort over the shards that answered.
 ///
 /// The opening `k = max(4n, 16)` is deliberately deep: a shard whose list
 /// fits inside it answers exhaustively (bound 0), so the common small-map
-/// case settles in ONE fan-out — the same dispatch count as the full-map
-/// merge with a fraction of its merge work — and only genuinely heavy
-/// candidate sets pay the extra exact-count round.
+/// case settles in ONE fan-out — the dispatch count of a full-map merge
+/// with a fraction of its merge work — and only genuinely heavy candidate
+/// sets pay the extra exact-count round.
 fn pushdown_top_n<K: Ord + Clone>(
     n: usize,
     mut topn_fetch: impl FnMut(usize) -> Result<Vec<TopKPartial<K>>>,
@@ -716,12 +693,6 @@ pub struct ShardedEngine {
     /// Virtual-µs straggler threshold arming [`hedged_call`] for scatter
     /// shard calls; 0 = hedging off (the default).
     hedge_threshold_us: AtomicU64,
-    /// Whether Q3/Q4/Q5 merges use the bounded `*_topn_kernel` pushdown
-    /// paths (default) or gather full per-shard count maps.
-    pushdown: AtomicBool,
-    /// Whether Q6.1 runs the bidirectional frontier exchange (default) or
-    /// the one-sided BFS oracle; answers are identical either way.
-    bidir_bfs: AtomicBool,
     counters: Arc<FaultCounters>,
     pool: WorkerPool,
 }
@@ -779,8 +750,6 @@ impl ShardedEngine {
             mode: DegradationMode::Strict,
             scatter_mode: AtomicU8::new(ScatterMode::default().to_u8()),
             hedge_threshold_us: AtomicU64::new(0),
-            pushdown: AtomicBool::new(true),
-            bidir_bfs: AtomicBool::new(true),
             counters: Arc::new(FaultCounters::default()),
             pool,
         }
@@ -813,13 +782,6 @@ impl ShardedEngine {
         self
     }
 
-    /// Builder: enables/disables the Q3/Q4/Q5 top-n pushdown merge paths
-    /// (on by default; answers are identical either way).
-    pub fn with_pushdown(self, on: bool) -> Self {
-        self.pushdown.store(on, Ordering::Relaxed);
-        self
-    }
-
     /// The armed hedge threshold in virtual µs (0 = hedging off).
     pub fn hedge_threshold(&self) -> u64 {
         self.hedge_threshold_us.load(Ordering::Relaxed)
@@ -828,36 +790,6 @@ impl ShardedEngine {
     /// Re-arms (`Some`) or disarms (`None`) scatter hedging at runtime.
     pub fn set_hedging(&self, threshold_us: Option<u64>) {
         self.hedge_threshold_us.store(threshold_us.unwrap_or(0), Ordering::Relaxed);
-    }
-
-    /// Builder: enables/disables the Q6.1 bidirectional frontier exchange
-    /// (on by default; the one-sided BFS gives identical answers).
-    pub fn with_bidirectional_bfs(self, on: bool) -> Self {
-        self.bidir_bfs.store(on, Ordering::Relaxed);
-        self
-    }
-
-    /// Whether Q3/Q4/Q5 merges run over the bounded pushdown kernels.
-    pub fn pushdown_enabled(&self) -> bool {
-        self.pushdown.load(Ordering::Relaxed)
-    }
-
-    /// Flips the top-n pushdown path at runtime — answers never change,
-    /// only how much each merge round-trips per shard.
-    pub fn set_pushdown(&self, on: bool) {
-        self.pushdown.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether Q6.1 expands two frontiers that meet in the middle.
-    pub fn bidirectional_bfs_enabled(&self) -> bool {
-        self.bidir_bfs.load(Ordering::Relaxed)
-    }
-
-    /// Flips the Q6.1 BFS strategy at runtime — answers never change, only
-    /// how many broadcast rounds (and how large a frontier each ships) a
-    /// path query costs.
-    pub fn set_bidirectional_bfs(&self, on: bool) {
-        self.bidir_bfs.store(on, Ordering::Relaxed);
     }
 
     /// The active retry policy.
@@ -1292,33 +1224,6 @@ impl ShardedEngine {
         Ok(next)
     }
 
-    /// The one-sided BFS oracle: expand from `a` one hop per round until
-    /// `b` shows up. Kept selectable (`set_bidirectional_bfs(false)`) so
-    /// the frontier exchange below has an in-tree semantic baseline.
-    fn one_sided_path_len(&self, route: u64, a: i64, b: i64, max_hops: u32) -> Result<Option<u32>> {
-        let mut visited: Vec<i64> = vec![a];
-        let mut frontier = Arc::new(vec![a]);
-        for depth in 1..=max_hops {
-            let next = self.bfs_round(route, &frontier)?;
-            if next.binary_search(&b).is_ok() {
-                return Ok(Some(depth));
-            }
-            // Reuse the frontier allocation across rounds when the workers
-            // have released their handles (opportunistic — a straggler
-            // drop just costs one fresh Vec).
-            let mut buf = Arc::try_unwrap(frontier).unwrap_or_default();
-            buf.clear();
-            buf.extend(next.into_iter().filter(|u| visited.binary_search(u).is_err()));
-            if buf.is_empty() {
-                return Ok(None);
-            }
-            visited.extend_from_slice(&buf);
-            visited.sort_unstable();
-            frontier = Arc::new(buf);
-        }
-        Ok(None)
-    }
-
     /// Bidirectional frontier exchange: grow a frontier from each endpoint
     /// and expand the SMALLER one each round (ties expand the a-side, so
     /// the schedule is deterministic), meeting in the middle after
@@ -1426,28 +1331,19 @@ impl MicroblogEngine for ShardedEngine {
 
     fn co_mentioned_users(&self, uid: i64, n: usize) -> Result<Vec<Ranked<i64>>> {
         // A co-mention pair can recur on many shards (one per mentioning
-        // tweet), so a single-round merge needs the FULL per-shard count
-        // maps. The pushdown path (default) runs the TA loop over bounded
-        // `co_mention_topn_kernel` partials instead — identical answers
-        // (DESIGN.md §4f), but each round ships O(k) rows per shard rather
-        // than every co-mentioned user.
+        // tweet), so the merge runs the TA loop over bounded
+        // `co_mention_topn_kernel` partials (DESIGN.md §4f): each round
+        // ships O(k) rows per shard rather than every co-mentioned user.
         self.q(|| {
             let route = fault::key_i64(uid);
-            if self.pushdown_enabled() {
-                let top = pushdown_top_n(
-                    n,
-                    |k| self.broadcast(route, move |_, s| s.co_mention_topn_kernel(uid, k)),
-                    |keys| {
-                        self.broadcast(route, move |_, s| {
-                            s.co_mention_counts_for_kernel(uid, &keys)
-                        })
-                    },
-                )?;
-                return Ok(to_ranked(top));
-            }
-            let parts = self
-                .broadcast(route, move |_, s| Ok(counted(s.co_mention_counts_kernel(uid)?)))?;
-            Ok(to_ranked(merge_top_n(parts, n)))
+            let top = pushdown_top_n(
+                n,
+                |k| self.broadcast(route, move |_, s| s.co_mention_topn_kernel(uid, k)),
+                |keys| {
+                    self.broadcast(route, move |_, s| s.co_mention_counts_for_kernel(uid, &keys))
+                },
+            )?;
+            Ok(to_ranked(top))
         })
     }
 
@@ -1455,104 +1351,83 @@ impl MicroblogEngine for ShardedEngine {
         self.q(|| {
             let route = fault::key_str(tag);
             let tag = tag.to_owned();
-            if self.pushdown_enabled() {
-                let top = pushdown_top_n(
-                    n,
-                    |k| {
-                        let tag = tag.clone();
-                        self.broadcast(route, move |_, s| s.co_tag_topn_kernel(&tag, k))
-                    },
-                    |keys| {
-                        let tag = tag.clone();
-                        self.broadcast(route, move |_, s| {
-                            s.co_tag_counts_for_kernel(&tag, &keys)
-                        })
-                    },
-                )?;
-                return Ok(to_ranked(top));
-            }
-            let parts =
-                self.broadcast(route, move |_, s| Ok(counted(s.co_tag_counts_kernel(&tag)?)))?;
-            Ok(to_ranked(merge_top_n(parts, n)))
+            let top = pushdown_top_n(
+                n,
+                |k| {
+                    let tag = tag.clone();
+                    self.broadcast(route, move |_, s| s.co_tag_topn_kernel(&tag, k))
+                },
+                |keys| {
+                    let tag = tag.clone();
+                    self.broadcast(route, move |_, s| s.co_tag_counts_for_kernel(&tag, &keys))
+                },
+            )?;
+            Ok(to_ranked(top))
         })
     }
 
     fn recommend_followees(&self, uid: i64, n: usize) -> Result<Vec<Ranked<i64>>> {
         // Frontier from the owner, counting kernels routed by ownership
-        // (out-edges are local to their source's shard), then count-sum
-        // merge with the not-already-followed filter applied globally. On
-        // the pushdown path the filter moves INTO the kernels (as a sorted
+        // (out-edges are local to their source's shard). The
+        // not-already-followed filter runs INSIDE the kernels (as a sorted
         // exclude list applied before truncation), so the TA loop's bounded
-        // partials rank exactly the same candidate set.
+        // partials rank exactly the global candidate set.
         self.q(|| {
             let route = fault::key_i64(uid);
             let followed = self.point(uid, |s| s.followees(uid))?;
-            if self.pushdown_enabled() {
-                let exclude = Arc::new(exclusion_list(uid, &followed));
-                let buckets = Arc::new(self.route(&followed));
-                let selected = Self::non_empty(&buckets);
-                let top = pushdown_top_n(
-                    n,
-                    |k| {
-                        let buckets = Arc::clone(&buckets);
-                        let exclude = Arc::clone(&exclude);
-                        self.scatter(route, selected.clone(), move |i, s| {
-                            s.count_followees_topn_kernel(&buckets[i], &exclude, k)
-                        })
-                    },
-                    |keys| {
-                        let buckets = Arc::clone(&buckets);
-                        self.scatter(route, selected.clone(), move |i, s| {
-                            s.count_followees_counts_for_kernel(&buckets[i], &keys)
-                        })
-                    },
-                )?;
-                return Ok(to_ranked(top));
-            }
-            let buckets = self.route(&followed);
+            let exclude = Arc::new(exclusion_list(uid, &followed));
+            let buckets = Arc::new(self.route(&followed));
             let selected = Self::non_empty(&buckets);
-            let parts = self.scatter(route, selected, move |i, s| {
-                s.count_followees_kernel(&buckets[i])
-            })?;
-            Ok(merge_recommend(uid, &followed, parts, n))
+            let top = pushdown_top_n(
+                n,
+                |k| {
+                    let buckets = Arc::clone(&buckets);
+                    let exclude = Arc::clone(&exclude);
+                    self.scatter(route, selected.clone(), move |i, s| {
+                        s.count_followees_topn_kernel(&buckets[i], &exclude, k)
+                    })
+                },
+                |keys| {
+                    let buckets = Arc::clone(&buckets);
+                    self.scatter(route, selected.clone(), move |i, s| {
+                        s.count_followees_counts_for_kernel(&buckets[i], &keys)
+                    })
+                },
+            )?;
+            Ok(to_ranked(top))
         })
     }
 
     fn recommend_followers(&self, uid: i64, n: usize) -> Result<Vec<Ranked<i64>>> {
         // In-edges are scattered (each lives on its source's shard), so the
         // frontier is BROADCAST; every `follows` edge is stored exactly
-        // once globally, so summing per-shard counts is exact. Pushdown
-        // mirrors Q4.1: the exclude filter moves into the kernels, the TA
-        // loop bounds what each shard ships.
+        // once globally, so summing per-shard counts is exact. Mirrors
+        // Q4.1: the exclude filter runs in the kernels, the TA loop bounds
+        // what each shard ships.
         self.q(|| {
             let route = fault::key_i64(uid);
             let followed = Arc::new(self.point(uid, |s| s.followees(uid))?);
             if followed.is_empty() {
                 return Ok(Vec::new());
             }
-            if self.pushdown_enabled() {
-                let exclude = Arc::new(exclusion_list(uid, &followed));
-                let top = pushdown_top_n(
-                    n,
-                    |k| {
-                        let followed = Arc::clone(&followed);
-                        let exclude = Arc::clone(&exclude);
-                        self.broadcast(route, move |_, s| {
-                            s.count_followers_topn_kernel(&followed, &exclude, k)
-                        })
-                    },
-                    |keys| {
-                        let followed = Arc::clone(&followed);
-                        self.broadcast(route, move |_, s| {
-                            s.count_followers_counts_for_kernel(&followed, &keys)
-                        })
-                    },
-                )?;
-                return Ok(to_ranked(top));
-            }
-            let shared = Arc::clone(&followed);
-            let parts = self.broadcast(route, move |_, s| s.count_followers_kernel(&shared))?;
-            Ok(merge_recommend(uid, &followed, parts, n))
+            let exclude = Arc::new(exclusion_list(uid, &followed));
+            let top = pushdown_top_n(
+                n,
+                |k| {
+                    let followed = Arc::clone(&followed);
+                    let exclude = Arc::clone(&exclude);
+                    self.broadcast(route, move |_, s| {
+                        s.count_followers_topn_kernel(&followed, &exclude, k)
+                    })
+                },
+                |keys| {
+                    let followed = Arc::clone(&followed);
+                    self.broadcast(route, move |_, s| {
+                        s.count_followers_counts_for_kernel(&followed, &keys)
+                    })
+                },
+            )?;
+            Ok(to_ranked(top))
         })
     }
 
@@ -1564,16 +1439,8 @@ impl MicroblogEngine for ShardedEngine {
         // TA loop or exact-count phase (the bound is ignored).
         self.q(|| {
             let route = fault::key_i64(uid);
-            if self.pushdown_enabled() {
-                let parts = self
-                    .broadcast(route, move |_, s| Ok(s.influence_topn_kernel(uid, true, n)?.top))?;
-                return Ok(to_ranked(merge_top_n(parts, n)));
-            }
-            let parts = self.broadcast(route, move |_, s| {
-                Ok(counted(
-                    s.current_influence(uid, n)?.into_iter().map(|r| (r.key, r.count)).collect(),
-                ))
-            })?;
+            let parts =
+                self.broadcast(route, move |_, s| Ok(s.influence_topn_kernel(uid, true, n)?.top))?;
             Ok(to_ranked(merge_top_n(parts, n)))
         })
     }
@@ -1581,21 +1448,8 @@ impl MicroblogEngine for ShardedEngine {
     fn potential_influence(&self, uid: i64, n: usize) -> Result<Vec<Ranked<i64>>> {
         self.q(|| {
             let route = fault::key_i64(uid);
-            if self.pushdown_enabled() {
-                let parts = self
-                    .broadcast(route, move |_, s| {
-                        Ok(s.influence_topn_kernel(uid, false, n)?.top)
-                    })?;
-                return Ok(to_ranked(merge_top_n(parts, n)));
-            }
-            let parts = self.broadcast(route, move |_, s| {
-                Ok(counted(
-                    s.potential_influence(uid, n)?
-                        .into_iter()
-                        .map(|r| (r.key, r.count))
-                        .collect(),
-                ))
-            })?;
+            let parts =
+                self.broadcast(route, move |_, s| Ok(s.influence_topn_kernel(uid, false, n)?.top))?;
             Ok(to_ranked(merge_top_n(parts, n)))
         })
     }
@@ -1605,9 +1459,8 @@ impl MicroblogEngine for ShardedEngine {
         // (a user's undirected adjacency is split between their own
         // shard's out-edges and other shards' in-edges) as ONE batched
         // kernel call per shard, and unions the results. Path LENGTH is
-        // exploration-order independent, so both round schedules — the
-        // one-sided oracle and the bidirectional frontier exchange
-        // (default) — reproduce the single-engine answer. Under Partial
+        // exploration-order independent, so the bidirectional frontier
+        // exchange reproduces the single-engine answer. Under Partial
         // degradation a skipped shard can only lengthen or lose a path,
         // never invent one.
         self.q(|| {
@@ -1621,11 +1474,7 @@ impl MicroblogEngine for ShardedEngine {
             if a == b {
                 return Ok(Some(0));
             }
-            if self.bidirectional_bfs_enabled() {
-                self.bidirectional_path_len(route, a, b, max_hops)
-            } else {
-                self.one_sided_path_len(route, a, b, max_hops)
-            }
+            self.bidirectional_path_len(route, a, b, max_hops)
         })
     }
 
@@ -1908,22 +1757,6 @@ impl MicroblogEngine for ShardedEngine {
         ok
     }
 
-    fn batched_kernels(&self) -> Option<bool> {
-        // All replicas run the same backend; the first one speaks for all.
-        self.shards.first().and_then(|g| g.replicas.first()).and_then(|s| s.batched_kernels())
-    }
-
-    fn set_batched_kernels(&self, on: bool) -> bool {
-        // Flip every replica of every shard, like `set_exec_mode`.
-        let mut ok = true;
-        for g in &self.shards {
-            for s in &g.replicas {
-                ok &= s.set_batched_kernels(on);
-            }
-        }
-        ok
-    }
-
     fn write_mode(&self) -> Option<crate::engine::WriteMode> {
         // All replicas run the same backend; the first one speaks for all.
         self.shards.first().and_then(|g| g.replicas.first()).and_then(|s| s.write_mode())
@@ -2114,17 +1947,6 @@ mod tests {
                 assert_eq!(u, by_uid[&u.uid], "replica must equal the original record");
             }
         }
-    }
-
-    #[test]
-    fn merge_recommend_filters_subject_and_followed() {
-        let parts = vec![vec![(1i64, 3u64), (2, 5), (9, 1)], vec![(2, 2), (4, 4)]];
-        let out = merge_recommend(9, &[1], parts, 10);
-        // 1 is followed, 9 is the subject; 2 sums to 7 across shards.
-        assert_eq!(
-            out,
-            vec![Ranked::new(2, 7), Ranked::new(4, 4)],
-        );
     }
 
     #[test]

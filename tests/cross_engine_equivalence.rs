@@ -187,6 +187,44 @@ fn q5_partitions_mentioners() {
 }
 
 #[test]
+fn huge_top_n_limits_agree_across_the_matrix() {
+    // A top-n size past `i64::MAX` is a legal `usize` and means "every
+    // candidate". Each query runs at two huge n on a subject whose answer
+    // is non-empty, and every engine of the matrix must return the same
+    // full ranking — no wrapped LIMIT binding, no overflowing `k + 1`.
+    type TopN = fn(&dyn MicroblogEngine, i64, usize) -> Vec<(String, u64)>;
+    fn keyed(r: Vec<micrograph_core::engine::Ranked<i64>>) -> Vec<(String, u64)> {
+        r.into_iter().map(|r| (r.key.to_string(), r.count)).collect()
+    }
+    let queries: [(&str, TopN); 6] = [
+        ("Q3.1", |e, s, n| keyed(e.co_mentioned_users(s, n).unwrap())),
+        ("Q3.2", |e, s, n| {
+            let r = e.co_occurring_hashtags(&format!("tag{s}"), n).unwrap();
+            r.into_iter().map(|r| (r.key, r.count)).collect()
+        }),
+        ("Q4.1", |e, s, n| keyed(e.recommend_followees(s, n).unwrap())),
+        ("Q4.2", |e, s, n| keyed(e.recommend_followers(s, n).unwrap())),
+        ("Q5.1", |e, s, n| keyed(e.current_influence(s, n).unwrap())),
+        ("Q5.2", |e, s, n| keyed(e.potential_influence(s, n).unwrap())),
+    ];
+    let m = matrix(19, 60);
+    let es = m.refs();
+    for (label, run) in queries {
+        // Subjects are uids, or tag numbers for Q3.2; bitgraph picks them
+        // at a small n.
+        let subject = (1..=60)
+            .find(|&s| !run(es[1], s, 10).is_empty())
+            .unwrap_or_else(|| panic!("{label}: no subject with a non-empty answer"));
+        for n in [usize::MAX / 2, usize::MAX] {
+            let got = agree(&es, &format!("{label} subject {subject} n {n}"), |e| {
+                run(e, subject, n)
+            });
+            assert!(!got.is_empty(), "{label} subject {subject} n {n}: vacuous");
+        }
+    }
+}
+
+#[test]
 fn q6_shortest_paths_agree() {
     let m = matrix(18, 120);
     let es = m.refs();
