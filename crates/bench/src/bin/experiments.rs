@@ -11,14 +11,11 @@
 //!   fig4 [a-h]    Figure 4 query latency panels (all panels by default)
 //!   ablations     §4 discussion items D1–D6
 //!   updates       §5 future-work update workload (FW1)
-//!   serving       §5 concurrent multi-reader serving throughput (FW2)
-//!                 plus the tail-latency axis (hedging off/on), the
-//!                 ArborQL executor axis (tuple vs vectorized) and the
-//!                 4-shard arbordb-vs-bitgraph gap axis
-//!                 (--json also writes BENCH_serving.json: seq-vs-par
-//!                 scatter throughput per shard count, tuple-vs-
-//!                 vectorized executor rows and gap rows, and
-//!                 BENCH_tail.json: p99/p50 per engine × shards × hedging)
+//!   serving       §5 serving axes (FW2, FW4–FW8): threads, scatter, exec,
+//!                 tail, replica and mixed read/write legs, each warmed
+//!                 then measured as median [min-max] over repeated trials
+//!                 (--json also writes the same rows and headlines, plus
+//!                 the transient-chaos section, to BENCH_serving.json)
 //!   chaos         §5 fault-injection robustness (retries/deadlines/degradation)
 //!   summary       §3.2 import/size headline comparison
 //!   all           everything above, in paper order
@@ -135,19 +132,14 @@ fn main() {
         "ablations" => print!("{}", figures::ablations(f)),
         "updates" => print!("{}", figures::update_throughput(f)),
         "serving" => {
-            print!("{}", figures::serving(f));
-            let tail_rows = figures::tail_axis(f);
-            print!("{}", figures::tail_report(&tail_rows));
+            let rows = figures::serving(f);
+            print!("{}", figures::serving_report(&rows));
             if args.rest.iter().any(|a| a == "--json") {
                 let scale = format!("{:?}", args.scale).to_ascii_lowercase();
-                for (path, json) in [
-                    (PathBuf::from("BENCH_serving.json"), figures::serving_json(f, &scale)),
-                    (PathBuf::from("BENCH_tail.json"), figures::tail_json(f, &scale, &tail_rows)),
-                ] {
-                    match std::fs::write(&path, &json) {
-                        Ok(()) => eprintln!("# wrote {}", path.display()),
-                        Err(e) => eprintln!("# {} write failed: {e}", path.display()),
-                    }
+                let path = Path::new("BENCH_serving.json");
+                match std::fs::write(path, figures::serving_json(&scale, &rows)) {
+                    Ok(()) => eprintln!("# wrote {}", path.display()),
+                    Err(e) => eprintln!("# {} write failed: {e}", path.display()),
                 }
             }
         }
@@ -167,8 +159,7 @@ fn main() {
             run_fig4(&Panel::ALL);
             print!("{}", figures::ablations(f));
             print!("{}", figures::update_throughput(f));
-            print!("{}", figures::serving(f));
-            print!("{}", figures::tail_report(&figures::tail_axis(f)));
+            print!("{}", figures::serving_report(&figures::serving(f)));
             print!("{}", figures::chaos(f));
         }
         other => {

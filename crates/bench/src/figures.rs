@@ -9,9 +9,8 @@
 //! | Fig 4a–h | [`fig4`] (Q3.1 / Q4.1 / Q5.2 / Q6.1 per engine) |
 //! | §4 items | [`ablations`] (D1–D6 in DESIGN.md) |
 //! | §5 FW1   | [`update_throughput`] (the future-work update workload) |
-//! | §5 FW2   | [`serving`] (concurrent multi-reader throughput) |
+//! | §5 FW2, FW4–FW8 | [`serving`] (every serving axis; [`serving_report`], [`serving_json`]) |
 //! | §5 FW3   | [`chaos`] (fault-injection robustness, DESIGN.md §4d) |
-//! | §5 FW4   | [`tail_axis`]/[`tail_json`] (tail latency: hedging off/on, DESIGN.md §4f) |
 
 use arbor_ql::EngineOptions;
 use arbor_ql::plan::PlannerOptions;
@@ -21,9 +20,9 @@ use micrograph_core::adapters::RecommendationPhrasing;
 use micrograph_core::engine::MicroblogEngine;
 use micrograph_core::ingest::ingest_bit;
 use micrograph_core::runner::{measure, measure_cold, measure_query, MeasureConfig};
-use micrograph_core::serve::{serve, ServeConfig};
+use micrograph_core::serve::{serve, MixedReport, ServeConfig, ServeReport};
 use micrograph_core::workload::{render_table2, QueryId, QueryParams};
-use micrograph_core::{ArborEngine, Value};
+use micrograph_core::{ArborEngine, ShardedEngine, Value};
 
 use crate::fixture::Fixture;
 use crate::report::{compare_line, Series};
@@ -489,1055 +488,597 @@ pub fn update_throughput(f: &Fixture) -> String {
     )
 }
 
-/// One measurement on the mixed read/write axis of [`serving`]
-/// (DESIGN.md §4j): one writer drains a firehose event stream in batches
-/// while two readers serve the Q1–Q6 mix against the same engine.
-pub struct MixedRow {
-    /// Engine name.
-    pub engine: &'static str,
-    /// Write-path label: bitgraph's write mode (`snapshot` / `locked`), or
-    /// `latched` for arbordb (readers queue behind the transaction latch).
-    pub mode: &'static str,
-    /// Events per write batch.
-    pub batch: usize,
-    /// Whether batches took the group-commit path (`false` = the per-event
-    /// loop, the semantic oracle).
-    pub batched: bool,
-    /// Ingest throughput during the burst (events/s).
-    pub write_eps: f64,
-    /// 99th-percentile per-batch commit latency (ms).
-    pub write_p99_ms: f64,
-    /// Reader throughput during the burst (requests/s).
-    pub read_qps: f64,
-    /// Median reader latency during the burst (ms).
-    pub read_p50_ms: f64,
-    /// 95th-percentile reader latency during the burst (ms).
-    pub read_p95_ms: f64,
-    /// 99th-percentile reader latency during the burst (ms).
-    pub read_p99_ms: f64,
-}
+/// Measured trials per serving leg. Odd, so a row's median is one of its
+/// samples; every leg also gets one unmeasured warmup call first.
+pub const TRIALS: usize = 5;
 
-/// Measures the mixed read/write axis: arbordb on disk (real WAL) at batch
-/// sizes 1 (per-event loop) / 64 / 256, then bitgraph at the same ladder in
-/// `Snapshot` write mode plus the `Locked` oracle at batch 64 — the
-/// reader-tail comparison non-blocking snapshot reads exist for. Every run
-/// rebuilds its engine from the fixture's CSV bundle, applies the same
-/// event stream, and must land on the same quiesced serving digest: batch
-/// size, batching, and write mode are pure performance toggles (asserted
-/// here; `tests/mixed_serving.rs` pins the same property across the full
-/// engine matrix).
-pub fn mixed_axis(f: &Fixture) -> Vec<MixedRow> {
-    use micrograph_core::adapters::BitEngine;
-    use micrograph_core::ingest::ingest_arbor;
-    use micrograph_core::serve::{serve_mixed, MixedConfig};
-    use micrograph_core::WriteMode;
-    use micrograph_datagen::{StreamGen, StreamMix};
-
-    const EVENTS: usize = 1_000;
-    let users = f.dataset.users.len() as u64;
-    let stream_config = crate::fixture::Scale::Small.config();
-    let mut events_gen = StreamGen::new(&f.dataset, &stream_config, 7, StreamMix::default());
-    let events = events_gen.events(EVENTS);
-    let base = MixedConfig {
-        threads: 2,
-        requests: 128,
-        seed: 42,
-        users,
-        vocab: 16,
-        batch: 1,
-        batched: false,
-    };
-
-    let mut rows = Vec::new();
-    let mut digest = None;
-    let mut run = |engine: &dyn MicroblogEngine, mode: &'static str, batch: usize, batched: bool| {
-        let report = serve_mixed(engine, &events, &MixedConfig { batch, batched, ..base })
-            .expect("mixed serve");
-        let d = report.digest();
-        assert_eq!(
-            *digest.get_or_insert(d),
-            d,
-            "{} quiesced answers changed with batch={batch} batched={batched} mode={mode}",
-            engine.name()
-        );
-        rows.push(MixedRow {
-            engine: report.engine,
-            mode,
-            batch,
-            batched,
-            write_eps: report.writer.events_per_s,
-            write_p99_ms: report.writer.p99_ms,
-            read_qps: report.reader.qps,
-            read_p50_ms: report.reader.p50_ms,
-            read_p95_ms: report.reader.p95_ms,
-            read_p99_ms: report.reader.p99_ms,
-        });
-    };
-
-    // arbordb on disk — the WAL is what group commit amortizes.
-    for (i, (batch, batched)) in [(1usize, false), (64, true), (256, true)].iter().enumerate() {
-        // The axis may run twice in one process (text report + JSON
-        // artifact) — each run needs a fresh on-disk database.
-        let dir = f.dir.join(format!("mixed-arbordb-{i}"));
-        let _ = std::fs::remove_dir_all(&dir);
-        let (db, _) = ingest_arbor(
-            &f.files,
-            Some(&dir),
-            arbordb::db::DbConfig::default(),
-            &arbordb::import::ImportOptions::default(),
-        )
-        .expect("ingest");
-        let arbor = ArborEngine::new(db);
-        run(&arbor, "latched", *batch, *batched);
-    }
-    // bitgraph: the same ladder with snapshot reads, plus the locked
-    // oracle at batch 64 for the reader-p99 contrast.
-    for (batch, batched, mode) in [
-        (1usize, false, WriteMode::Snapshot),
-        (64, true, WriteMode::Snapshot),
-        (256, true, WriteMode::Snapshot),
-        (64, true, WriteMode::Locked),
-    ] {
-        let (g, _) = ingest_bit(
-            &f.files,
-            None,
-            bitgraph::loader::LoadConfig::default(),
-            &bitgraph::loader::LoadOptions { sample_interval: 5_000, abort_after: None },
-        )
-        .expect("load");
-        let bit = BitEngine::new(g).expect("engine");
-        assert!(bit.set_write_mode(mode), "bitgraph lost its write-mode toggle");
-        run(&bit, mode.as_str(), batch, batched);
-    }
-    rows
-}
-
-/// The concurrent-serving experiment: a mixed Q1–Q6 request stream from
-/// 1/2/4 reader threads over each shared engine — per-query latency
-/// percentiles and aggregate throughput (the LDBC-style multi-client axis
-/// the paper leaves open; see DESIGN.md "Concurrency & serving").
-pub fn serving(f: &Fixture) -> String {
-    use micrograph_core::ingest::build_sharded_engines;
-    let users = f.dataset.users.len() as u64;
-    let mut out = String::new();
-    out.push_str("== Concurrent serving (shared engine, mixed Q1-Q6 stream) ==\n\n");
-    for engine in [&f.arbor as &dyn MicroblogEngine, &f.bit] {
-        let mut digest = None;
-        for threads in [1usize, 2, 4] {
-            let config = ServeConfig { threads, requests: 128, seed: 42, users, vocab: 16, ..Default::default() };
-            let report = serve(engine, &config).expect("serve");
-            // The rendered results must not depend on the thread count.
-            let d = report.digest();
-            assert_eq!(*digest.get_or_insert(d), d, "{} serving nondeterminism", engine.name());
-            out.push_str(&report.render());
-            out.push('\n');
-        }
-    }
-    // Scale-out axis: the same stream over hash-partitioned 2-shard
-    // compositions of both backends, pinned byte-identical to the
-    // unsharded engines above (the ShardedEngine correctness invariant,
-    // exercised here so the CI smoke run covers the merge layer too).
-    let config = ServeConfig { threads: 4, requests: 128, seed: 42, users, vocab: 16, ..Default::default() };
-    let (sharded_arbor, sharded_bit) =
-        build_sharded_engines(&f.dataset, &f.dir.join("serving-shards-2"), 2)
-            .expect("build sharded engines");
-    for (engine, base) in [
-        (&sharded_arbor as &dyn MicroblogEngine, &f.arbor as &dyn MicroblogEngine),
-        (&sharded_bit, &f.bit),
-    ] {
-        let report = serve(engine, &config).expect("serve");
-        let unsharded = serve(base, &config).expect("serve");
-        assert_eq!(
-            report.digest(),
-            unsharded.digest(),
-            "{} diverged from {}",
-            engine.name(),
-            base.name()
-        );
-        out.push_str(&report.render());
-        out.push('\n');
-    }
-    // Scatter-execution axis: the Sequential oracle vs the parallel worker
-    // pool (DESIGN.md §4e), one reader so the only concurrency is the
-    // scatter fan-out itself. Digest equality across modes is asserted
-    // inside scatter_axis; only wall-clock may differ.
-    out.push_str("-- Scatter execution: sequential vs parallel (1 reader) --\n\n");
-    let rows = scatter_axis(f);
-    for pair in rows.chunks(2) {
-        let (seq, par) = (&pair[0], &pair[1]);
-        out.push_str(&format!(
-            "{} x{}: seq {:.0} q/s, par {:.0} q/s ({:.2}x), par p50/p95/p99 {:.3}/{:.3}/{:.3} ms\n",
-            seq.engine,
-            seq.shards,
-            seq.qps,
-            par.qps,
-            par.qps / seq.qps.max(f64::MIN_POSITIVE),
-            par.p50_ms,
-            par.p95_ms,
-            par.p99_ms,
-        ));
-    }
-    // Executor axis: arbordb's tuple-at-a-time oracle vs the vectorized
-    // operators (DESIGN.md §4g). Digest equality across modes is asserted
-    // inside exec_axis; only wall-clock may differ.
-    out.push_str("\n-- ArborQL executor: tuple vs vectorized (1 reader, arbordb) --\n\n");
-    let rows = exec_axis(f);
-    let mut i = 0;
-    while i < rows.len() {
-        if rows[i].exec == "tuple" && i + 1 < rows.len() && rows[i + 1].exec == "vectorized" {
-            let (tup, vec) = (&rows[i], &rows[i + 1]);
-            out.push_str(&format!(
-                "{} (shards={}): tuple {:.0} q/s, vectorized {:.0} q/s ({:.2}x), \
-                 vec p50/p95/p99 {:.3}/{:.3}/{:.3} ms\n",
-                tup.engine,
-                tup.shards,
-                tup.qps,
-                vec.qps,
-                vec.qps / tup.qps.max(f64::MIN_POSITIVE),
-                vec.p50_ms,
-                vec.p95_ms,
-                vec.p99_ms,
-            ));
-            i += 2;
-        } else {
-            let r = &rows[i];
-            out.push_str(&format!(
-                "{} (shards={}): {} {:.0} q/s, p50/p95/p99 {:.3}/{:.3}/{:.3} ms\n",
-                r.engine, r.shards, r.exec, r.qps, r.p50_ms, r.p95_ms, r.p99_ms,
-            ));
-            i += 1;
-        }
-    }
-    // Sharded backend-gap axis: 4-shard arbordb against 4-shard bitgraph
-    // (DESIGN.md §4h). Digest equality across scatter modes is asserted
-    // inside gap_axis.
-    out.push_str("\n-- Sharded backend gap: arbordb vs bitgraph (4 shards) --\n\n");
-    let rows = gap_axis(f);
-    for r in &rows {
-        out.push_str(&format!(
-            "{} ({}): {:.0} q/s, p50/p95/p99 {:.3}/{:.3}/{:.3} ms\n",
-            r.engine,
-            r.scatter.label(),
-            r.qps,
-            r.p50_ms,
-            r.p95_ms,
-            r.p99_ms,
-        ));
-    }
-    let (arbor_qps, bit_qps) = gap_headline(&rows);
-    out.push_str(&format!(
-        "\ngap headline: bitgraph/arbordb = {:.2}x (parallel)\n",
-        bit_qps / arbor_qps.max(f64::MIN_POSITIVE)
-    ));
-    // Mixed read/write axis (DESIGN.md §4j): group-commit batching and
-    // non-blocking snapshot reads under a firehose write burst. Quiesced
-    // digests are asserted equal inside mixed_axis.
-    out.push_str("\n-- Mixed read/write: group commit x write mode (1 writer, 2 readers) --\n\n");
-    let rows = mixed_axis(f);
-    for r in &rows {
-        out.push_str(&format!(
-            "{} ({}, batch {}, {}): write {:.0} ev/s (batch p99 {:.3} ms), \
-             read {:.0} q/s p50/p95/p99 {:.3}/{:.3}/{:.3} ms\n",
-            r.engine,
-            r.mode,
-            r.batch,
-            if r.batched { "group commit" } else { "per event" },
-            r.write_eps,
-            r.write_p99_ms,
-            r.read_qps,
-            r.read_p50_ms,
-            r.read_p95_ms,
-            r.read_p99_ms,
-        ));
-    }
-    let eps = |engine: &str, mode: &str, batch: usize| {
-        rows.iter()
-            .find(|r| r.engine.contains(engine) && r.mode == mode && r.batch == batch)
-            .map(|r| r.write_eps)
-            .unwrap_or(0.0)
-    };
-    let p99 = |mode: &str, batch: usize| {
-        rows.iter()
-            .find(|r| r.engine.contains("bitgraph") && r.mode == mode && r.batch == batch)
-            .map(|r| r.read_p99_ms)
-            .unwrap_or(0.0)
-    };
-    out.push_str(&format!(
-        "\nmixed headline: arbordb group commit x256 = {:.1}x events/s over per-event; \
-         bitgraph reader p99 under burst: snapshot {:.3} ms vs locked {:.3} ms\n",
-        eps("arbordb", "latched", 256) / eps("arbordb", "latched", 1).max(f64::MIN_POSITIVE),
-        p99("snapshot", 64),
-        p99("locked", 64),
-    ));
-    out
-}
-
-/// One measurement on the executor axis of [`serving`]: arbordb's
-/// row-at-a-time reference interpreter vs the vectorized operator tree
-/// (DESIGN.md §4g).
-pub struct ExecRow {
-    /// Engine name (includes the shard count when sharded).
-    pub engine: &'static str,
-    /// Hash-partition count (0 = the monolithic engine).
-    pub shards: usize,
-    /// Executor this row measured: `"tuple"` / `"vectorized"` for arbordb,
-    /// `"native"` for the bitgraph baseline (no declarative layer).
-    pub exec: &'static str,
-    /// Aggregate throughput (requests/s).
-    pub qps: f64,
-    /// Median request latency (ms).
-    pub p50_ms: f64,
-    /// 95th-percentile request latency (ms).
-    pub p95_ms: f64,
-    /// 99th-percentile request latency (ms).
-    pub p99_ms: f64,
-}
-
-/// Measures the executor axis: the monolithic arbordb engine plus its 2-
-/// and 4-shard compositions, Tuple then Vectorized over the same
-/// single-reader stream, closing with the monolithic bitgraph engine as a
-/// `"native"` baseline row (no declarative layer, so no mode pair) — the
-/// declarative-vs-native serve-mix gap read straight off the artifact.
-/// Asserts the mode flip never changes the serving digest; one unmeasured
-/// warmup pass per engine absorbs cold-cache first-touches. arbordb rows
-/// come in consecutive (tuple, vectorized) pairs.
-pub fn exec_axis(f: &Fixture) -> Vec<ExecRow> {
-    use micrograph_core::ingest::build_sharded_engines;
-    use micrograph_core::ExecMode;
-    let users = f.dataset.users.len() as u64;
-    let config =
-        ServeConfig { threads: 1, requests: 128, seed: 42, users, vocab: 16, ..Default::default() };
-    let mut sharded = Vec::new();
-    for shards in [2usize, 4] {
-        let (arbor, _bit) =
-            build_sharded_engines(&f.dataset, &f.dir.join(format!("exec-axis-{shards}")), shards)
-                .expect("build sharded engines");
-        sharded.push((shards, arbor));
-    }
-    let mut targets: Vec<(usize, &dyn MicroblogEngine)> = vec![(0, &f.arbor)];
-    for (shards, engine) in &sharded {
-        targets.push((*shards, engine));
-    }
-    let mut rows = Vec::new();
-    for (shards, engine) in targets {
-        serve(engine, &config).expect("warmup");
-        let mut digest = None;
-        for mode in [ExecMode::Tuple, ExecMode::Vectorized] {
-            assert!(engine.set_exec_mode(mode), "arbordb engine lost its exec-mode toggle");
-            let report = serve(engine, &config).expect("serve");
-            let d = report.digest();
-            assert_eq!(
-                *digest.get_or_insert(d),
-                d,
-                "{} answers changed with exec mode {}",
-                engine.name(),
-                mode.as_str()
-            );
-            rows.push(ExecRow {
-                engine: report.engine,
-                shards,
-                exec: mode.as_str(),
-                qps: report.qps,
-                p50_ms: report.p50_ms,
-                p95_ms: report.p95_ms,
-                p99_ms: report.p99_ms,
-            });
-        }
-        engine.set_exec_mode(ExecMode::Vectorized);
-    }
-    // Native baseline: the same stream on the monolithic bitgraph engine,
-    // which refuses the exec-mode toggle (no declarative layer).
-    let bit = &f.bit as &dyn MicroblogEngine;
-    assert!(!bit.set_exec_mode(ExecMode::Tuple), "bitgraph must refuse the exec toggle");
-    serve(bit, &config).expect("warmup");
-    let report = serve(bit, &config).expect("serve");
-    rows.push(ExecRow {
-        engine: report.engine,
-        shards: 0,
-        exec: "native",
-        qps: report.qps,
-        p50_ms: report.p50_ms,
-        p95_ms: report.p95_ms,
-        p99_ms: report.p99_ms,
-    });
-    rows
-}
-
-/// One measurement on the scatter-execution axis of [`serving`].
-pub struct ScatterRow {
-    /// Engine name (includes the shard count).
-    pub engine: &'static str,
-    /// Hash-partition count.
-    pub shards: usize,
-    /// Scatter execution mode this row measured.
-    pub mode: micrograph_core::ScatterMode,
-    /// Aggregate throughput (requests/s).
-    pub qps: f64,
-    /// Median request latency (ms).
-    pub p50_ms: f64,
-    /// 95th-percentile request latency (ms).
-    pub p95_ms: f64,
-    /// 99th-percentile request latency (ms).
-    pub p99_ms: f64,
-}
-
-/// Measures the scatter-mode axis: both sharded backends at 1/2/4 shards,
-/// Sequential then Parallel over the same stream, single reader. Asserts
-/// the mode flip never changes the serving digest. Rows come out in
-/// (shards, backend, mode) order — consecutive pairs are (seq, par).
-pub fn scatter_axis(f: &Fixture) -> Vec<ScatterRow> {
-    use micrograph_core::ingest::build_sharded_engines;
-    use micrograph_core::ScatterMode;
-    let users = f.dataset.users.len() as u64;
-    let config =
-        ServeConfig { threads: 1, requests: 128, seed: 42, users, vocab: 16, ..Default::default() };
-    let mut rows = Vec::new();
-    for shards in [1usize, 2, 4] {
-        let (sharded_arbor, sharded_bit) =
-            build_sharded_engines(&f.dataset, &f.dir.join(format!("scatter-axis-{shards}")), shards)
-                .expect("build sharded engines");
-        for engine in [&sharded_arbor as &dyn MicroblogEngine, &sharded_bit] {
-            let mut digest = None;
-            for mode in [ScatterMode::Sequential, ScatterMode::Parallel] {
-                assert!(engine.set_scatter_mode(mode));
-                let report = serve(engine, &config).expect("serve");
-                let d = report.digest();
-                assert_eq!(
-                    *digest.get_or_insert(d),
-                    d,
-                    "{} answers changed with scatter mode",
-                    engine.name()
-                );
-                rows.push(ScatterRow {
-                    engine: report.engine,
-                    shards,
-                    mode,
-                    qps: report.qps,
-                    p50_ms: report.p50_ms,
-                    p95_ms: report.p95_ms,
-                    p99_ms: report.p99_ms,
-                });
-            }
-        }
-    }
-    rows
-}
-
-/// One measurement on the sharded backend-gap axis ([`gap_axis`]): the
-/// serve mix on a 4-shard composition under one scatter mode (DESIGN.md
-/// §4h).
-pub struct GapRow {
-    /// Engine name (includes the shard count).
-    pub engine: &'static str,
-    /// Hash-partition count.
-    pub shards: usize,
-    /// Scatter execution mode this row measured.
-    pub scatter: micrograph_core::ScatterMode,
-    /// Aggregate throughput (requests/s).
-    pub qps: f64,
-    /// Median request latency (ms).
-    pub p50_ms: f64,
-    /// 95th-percentile request latency (ms).
-    pub p95_ms: f64,
-    /// 99th-percentile request latency (ms).
-    pub p99_ms: f64,
-}
-
-/// Measures the sharded backend gap: both backends at 4 shards over the
-/// same single-reader stream, under both scatter modes. Asserts the
-/// scatter mode never moves the serving digest. The headline
-/// (`gap_headline`) is parallel arbordb against parallel bitgraph: the
-/// gap set-oriented kernels close.
-pub fn gap_axis(f: &Fixture) -> Vec<GapRow> {
-    use micrograph_core::ingest::build_sharded_engines;
-    use micrograph_core::ScatterMode;
-    let users = f.dataset.users.len() as u64;
-    let config =
-        ServeConfig { threads: 1, requests: 128, seed: 42, users, vocab: 16, ..Default::default() };
-    let shards = 4usize;
-    let (sharded_arbor, sharded_bit) =
-        build_sharded_engines(&f.dataset, &f.dir.join("gap-axis-4"), shards)
-            .expect("build sharded engines");
-    let mut rows = Vec::new();
-    for engine in [&sharded_arbor as &dyn MicroblogEngine, &sharded_bit] {
-        serve(engine, &config).expect("warmup");
-        let mut digest = None;
-        for scatter in [ScatterMode::Sequential, ScatterMode::Parallel] {
-            assert!(engine.set_scatter_mode(scatter));
-            let report = serve(engine, &config).expect("serve");
-            let d = report.digest();
-            assert_eq!(
-                *digest.get_or_insert(d),
-                d,
-                "{} answers changed under scatter={}",
-                engine.name(),
-                scatter.label()
-            );
-            rows.push(GapRow {
-                engine: report.engine,
-                shards,
-                scatter,
-                qps: report.qps,
-                p50_ms: report.p50_ms,
-                p95_ms: report.p95_ms,
-                p99_ms: report.p99_ms,
-            });
-        }
-        engine.set_scatter_mode(ScatterMode::Parallel);
-    }
-    rows
-}
-
-/// The gap headline's two throughputs: parallel-scatter qps of the sharded
-/// arbordb row and of the sharded bitgraph row, picked by engine name.
-fn gap_headline(rows: &[GapRow]) -> (f64, f64) {
-    let parallel_qps = |backend: &str| {
-        rows.iter()
-            .find(|r| {
-                r.engine.contains(backend)
-                    && matches!(r.scatter, micrograph_core::ScatterMode::Parallel)
-            })
-            .map(|r| r.qps)
-            .unwrap_or(0.0)
-    };
-    (parallel_qps("arbordb"), parallel_qps("bitgraph"))
-}
-
-/// One measurement on the replication axis ([`replica_axis`]): the serve
-/// mix over a 2-shard composition with R replicas behind each shard slot
-/// (DESIGN.md §4i), 4 reader threads.
-pub struct ReplicaRow {
-    /// Engine name (includes shard count and replica factor).
-    pub engine: &'static str,
-    /// Hash-partition count.
-    pub shards: usize,
-    /// Replicas behind each shard slot.
-    pub replicas: usize,
-    /// Reader threads used.
-    pub threads: usize,
-    /// `"healthy"` for an all-replicas-up run, `"degraded"` for the same
-    /// stream with one replica of every shard killed mid-axis.
-    pub condition: &'static str,
-    /// Aggregate throughput (requests/s), errors included.
-    pub qps: f64,
-    /// Useful throughput: full-coverage, non-error answers per second.
-    /// Equals `qps` while healthy; the number replication exists to
-    /// protect — at R = 1 a dead replica drives it to zero, at R ≥ 2 the
-    /// failover ladder keeps it at the healthy level.
-    pub goodput: f64,
-    /// Requests that errored (0 on every healthy run).
-    pub errors: u64,
-    /// Median request latency (ms).
-    pub p50_ms: f64,
-    /// 95th-percentile request latency (ms).
-    pub p95_ms: f64,
-    /// 99th-percentile request latency (ms).
-    pub p99_ms: f64,
-    /// Failover hops the run recorded.
-    pub failovers: u64,
-    /// Reads the run routed to a non-zero primary replica.
-    pub replica_reads: u64,
-}
-
-/// Measures the replication axis: both backends at 2 shards × R ∈
-/// {1, 2, 3}, 4 reader threads over the same stream, healthy and then
-/// degraded (replica 0 of every shard permanently killed, same stream
-/// replayed). The healthy rows record whatever read scale-out the host
-/// offers — spreading reads across R engine instances needs spare cores
-/// to turn into qps, so on a single-core runner they stay flat. The
-/// degraded rows are the axis's headline and are host-independent: at
-/// R = 1 the dead replica drives goodput to zero (every request errors,
-/// fast-failing on the torn group), while at R ≥ 2 the failover ladder
-/// keeps goodput at the healthy level with byte-identical answers.
-/// Asserts no R (and, for R ≥ 2, no replica loss) moves the serving
-/// digest, and that R = 1 replica loss errors every request.
-pub fn replica_axis(f: &Fixture) -> Vec<ReplicaRow> {
-    use micrograph_core::ingest::build_replicated_engines;
-    let users = f.dataset.users.len() as u64;
-    let threads = 4usize;
-    let requests = 512usize;
-    let config =
-        ServeConfig { threads, requests, seed: 42, users, vocab: 16, ..Default::default() };
-    let shards = 2usize;
-    let mut rows = Vec::new();
-    let mut digests: [Option<u64>; 2] = [None, None];
-    let goodput = |report: &micrograph_core::serve::ServeReport| {
-        report.qps * (requests as u64 - report.errors - report.degraded) as f64 / requests as f64
-    };
-    for replicas in [1usize, 2, 3] {
-        let (sharded_arbor, sharded_bit) = build_replicated_engines(
-            &f.dataset,
-            &f.dir.join(format!("replica-axis-{replicas}")),
-            shards,
-            replicas,
-        )
-        .expect("build replicated engines");
-        for (which, engine) in
-            [&sharded_arbor as &dyn MicroblogEngine, &sharded_bit].into_iter().enumerate()
-        {
-            serve(engine, &config).expect("warmup");
-            let before = engine.fault_stats();
-            let report = serve(engine, &config).expect("serve");
-            let spent = engine.fault_stats().since(&before);
-            let d = report.digest();
-            assert_eq!(
-                *digests[which].get_or_insert(d),
-                d,
-                "{} answers changed with R={replicas}",
-                engine.name()
-            );
-            rows.push(ReplicaRow {
-                engine: report.engine,
-                shards,
-                replicas,
-                threads,
-                condition: "healthy",
-                qps: report.qps,
-                goodput: goodput(&report),
-                errors: report.errors,
-                p50_ms: report.p50_ms,
-                p95_ms: report.p95_ms,
-                p99_ms: report.p99_ms,
-                failovers: spent.failovers,
-                replica_reads: spent.replica_reads,
-            });
-        }
-        // Kill replica 0 of every shard and replay the stream. With a
-        // spare replica the failover ladder must absorb the loss
-        // byte-identically; with R = 1 the whole stream must fail fast
-        // (goodput 0) — never a stale or partial answer in Strict mode.
-        for (which, (concrete, engine)) in [
-            (&sharded_arbor, &sharded_arbor as &dyn MicroblogEngine),
-            (&sharded_bit, &sharded_bit),
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            for shard in 0..shards {
-                concrete.kill_replica(shard, 0);
-            }
-            let before = engine.fault_stats();
-            let report = serve(engine, &config).expect("serve degraded");
-            let spent = engine.fault_stats().since(&before);
-            if replicas == 1 {
-                assert_eq!(
-                    report.errors, requests as u64,
-                    "{}: a dead sole replica must fail every request",
-                    engine.name()
-                );
-            } else {
-                assert_eq!(
-                    Some(report.digest()),
-                    digests[which],
-                    "{} answers changed after losing a replica of every shard",
-                    engine.name()
-                );
-                assert!(
-                    spent.failovers > 0,
-                    "{}: surviving replica loss must have hopped",
-                    engine.name()
-                );
-            }
-            rows.push(ReplicaRow {
-                engine: report.engine,
-                shards,
-                replicas,
-                threads,
-                condition: "degraded",
-                qps: report.qps,
-                goodput: goodput(&report),
-                errors: report.errors,
-                p50_ms: report.p50_ms,
-                p95_ms: report.p95_ms,
-                p99_ms: report.p99_ms,
-                failovers: spent.failovers,
-                replica_reads: spent.replica_reads,
-            });
-        }
-    }
-    rows
-}
-
-/// Renders the scatter-mode axis as the `BENCH_serving.json` artifact:
-/// sequential vs parallel throughput and latency percentiles per backend
-/// and shard count, one reader thread.
-pub fn serving_json(f: &Fixture, scale: &str) -> String {
-    let rows = scatter_axis(f);
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"experiment\": \"serving_scatter_modes\",\n");
-    out.push_str(&format!("  \"scale\": \"{scale}\",\n"));
-    out.push_str("  \"threads\": 1,\n");
-    out.push_str("  \"requests\": 128,\n");
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let comma = if i + 1 == rows.len() { "" } else { "," };
-        out.push_str(&format!(
-            "    {{\"engine\": \"{}\", \"shards\": {}, \"mode\": \"{}\", \"qps\": {:.1}, \
-             \"p50_ms\": {:.4}, \"p95_ms\": {:.4}, \"p99_ms\": {:.4}}}{comma}\n",
-            r.engine,
-            r.shards,
-            r.mode.label(),
-            r.qps,
-            r.p50_ms,
-            r.p95_ms,
-            r.p99_ms,
-        ));
-    }
-    out.push_str("  ],\n");
-    // Executor axis (DESIGN.md §4g): tuple vs vectorized on arbordb,
-    // monolithic (shards = 0) and sharded. Digests asserted equal inside
-    // exec_axis — only throughput/latency may differ between modes.
-    let exec_rows = exec_axis(f);
-    out.push_str("  \"exec_rows\": [\n");
-    for (i, r) in exec_rows.iter().enumerate() {
-        let comma = if i + 1 == exec_rows.len() { "" } else { "," };
-        out.push_str(&format!(
-            "    {{\"engine\": \"{}\", \"shards\": {}, \"exec\": \"{}\", \"qps\": {:.1}, \
-             \"p50_ms\": {:.4}, \"p95_ms\": {:.4}, \"p99_ms\": {:.4}}}{comma}\n",
-            r.engine,
-            r.shards,
-            r.exec,
-            r.qps,
-            r.p50_ms,
-            r.p95_ms,
-            r.p99_ms,
-        ));
-    }
-    out.push_str("  ],\n");
-    // Sharded backend-gap axis (DESIGN.md §4h): arbordb vs bitgraph at 4
-    // shards under both scatter modes. Digests asserted equal inside
-    // gap_axis.
-    let gap_rows = gap_axis(f);
-    out.push_str("  \"gap_rows\": [\n");
-    for (i, r) in gap_rows.iter().enumerate() {
-        let comma = if i + 1 == gap_rows.len() { "" } else { "," };
-        out.push_str(&format!(
-            "    {{\"engine\": \"{}\", \"shards\": {}, \"scatter\": \"{}\", \
-             \"qps\": {:.1}, \"p50_ms\": {:.4}, \"p95_ms\": {:.4}, \"p99_ms\": {:.4}}}{comma}\n",
-            r.engine,
-            r.shards,
-            r.scatter.label(),
-            r.qps,
-            r.p50_ms,
-            r.p95_ms,
-            r.p99_ms,
-        ));
-    }
-    out.push_str("  ],\n");
-    // Replication axis (DESIGN.md §4i): qps and goodput vs R at 2 shards
-    // / 4 reader threads, healthy plus the degraded (replica 0 of every
-    // shard killed) replay at every R. Digests asserted equal inside
-    // replica_axis.
-    let replica_rows = replica_axis(f);
-    out.push_str("  \"replica_rows\": [\n");
-    for (i, r) in replica_rows.iter().enumerate() {
-        let comma = if i + 1 == replica_rows.len() { "" } else { "," };
-        out.push_str(&format!(
-            "    {{\"engine\": \"{}\", \"shards\": {}, \"replicas\": {}, \"threads\": {}, \
-             \"condition\": \"{}\", \"qps\": {:.1}, \"goodput\": {:.1}, \"errors\": {}, \
-             \"p50_ms\": {:.4}, \"p95_ms\": {:.4}, \"p99_ms\": {:.4}, \"failovers\": {}, \
-             \"replica_reads\": {}}}{comma}\n",
-            r.engine,
-            r.shards,
-            r.replicas,
-            r.threads,
-            r.condition,
-            r.qps,
-            r.goodput,
-            r.errors,
-            r.p50_ms,
-            r.p95_ms,
-            r.p99_ms,
-            r.failovers,
-            r.replica_reads,
-        ));
-    }
-    out.push_str("  ],\n");
-    // The replication headline: scatter goodput from R = 1 to R = 2 per
-    // backend with one replica of every shard permanently dead (2 shards,
-    // 4 readers) — the comparison replication exists for, and one that
-    // holds on any host: R = 1 fails the whole stream (goodput 0) while
-    // R = 2 serves it byte-identically. Healthy qps at both R is recorded
-    // alongside; turning the replica spread into healthy-read scale-out
-    // additionally needs spare cores on the measurement host.
-    let replica_val = |engine_contains: &str, replicas: usize, condition: &str| {
-        replica_rows
-            .iter()
-            .find(|r| {
-                r.condition == condition
-                    && r.replicas == replicas
-                    && r.engine.contains(engine_contains)
-            })
-            .map(|r| if condition == "healthy" { r.qps } else { r.goodput })
-            .unwrap_or(0.0)
-    };
-    let (a1, a2) = (replica_val("arbordb", 1, "healthy"), replica_val("arbordb", 2, "healthy"));
-    let (b1, b2) = (replica_val("bitgraph", 1, "healthy"), replica_val("bitgraph", 2, "healthy"));
-    let (ad1, ad2) =
-        (replica_val("arbordb", 1, "degraded"), replica_val("arbordb", 2, "degraded"));
-    let (bd1, bd2) =
-        (replica_val("bitgraph", 1, "degraded"), replica_val("bitgraph", 2, "degraded"));
-    out.push_str(&format!(
-        "  \"replica_headline\": {{\"arbordb_r1_qps\": {a1:.1}, \"arbordb_r2_qps\": {a2:.1}, \
-         \"bitgraph_r1_qps\": {b1:.1}, \"bitgraph_r2_qps\": {b2:.1}, \
-         \"arbordb_replica_dead_r1_goodput\": {ad1:.1}, \
-         \"arbordb_replica_dead_r2_goodput\": {ad2:.1}, \
-         \"bitgraph_replica_dead_r1_goodput\": {bd1:.1}, \
-         \"bitgraph_replica_dead_r2_goodput\": {bd2:.1}}},\n",
-    ));
-    // The headline the gap axis exists for: parallel arbordb throughput
-    // as a fraction of parallel bitgraph, both at 4 shards.
-    let (arbor_qps, bit_qps) = gap_headline(&gap_rows);
-    out.push_str(&format!(
-        "  \"gap_headline\": {{\"arbordb_parallel_qps\": {arbor_qps:.1}, \
-         \"bitgraph_parallel_qps\": {bit_qps:.1}, \"bitgraph_over_arbordb\": {:.3}}},\n",
-        bit_qps / arbor_qps.max(f64::MIN_POSITIVE)
-    ));
-    // Mixed read/write axis (DESIGN.md §4j): a write burst drained by one
-    // writer (group commit vs per-event loop) while two readers serve the
-    // query mix. Quiesced digests asserted equal inside mixed_axis — batch
-    // size, batching, and write mode are pure performance toggles.
-    let mixed_rows = mixed_axis(f);
-    out.push_str("  \"mixed_rows\": [\n");
-    for (i, r) in mixed_rows.iter().enumerate() {
-        let comma = if i + 1 == mixed_rows.len() { "" } else { "," };
-        out.push_str(&format!(
-            "    {{\"engine\": \"{}\", \"mode\": \"{}\", \"batch\": {}, \"batched\": {}, \
-             \"write_eps\": {:.1}, \"write_p99_ms\": {:.4}, \"read_qps\": {:.1}, \
-             \"read_p50_ms\": {:.4}, \"read_p95_ms\": {:.4}, \"read_p99_ms\": {:.4}}}{comma}\n",
-            r.engine,
-            r.mode,
-            r.batch,
-            r.batched,
-            r.write_eps,
-            r.write_p99_ms,
-            r.read_qps,
-            r.read_p50_ms,
-            r.read_p95_ms,
-            r.read_p99_ms,
-        ));
-    }
-    out.push_str("  ],\n");
-    // The mixed headline: group-commit ingest scaling on arbordb's WAL and
-    // the snapshot-vs-locked reader tail on bitgraph.
-    let mixed_val = |engine: &str, mode: &str, batch: usize, read: bool| {
-        mixed_rows
-            .iter()
-            .find(|r| r.engine.contains(engine) && r.mode == mode && r.batch == batch)
-            .map(|r| if read { r.read_p99_ms } else { r.write_eps })
-            .unwrap_or(0.0)
-    };
-    let (a1, a256) =
-        (mixed_val("arbordb", "latched", 1, false), mixed_val("arbordb", "latched", 256, false));
-    let (b1, b256) = (
-        mixed_val("bitgraph", "snapshot", 1, false),
-        mixed_val("bitgraph", "snapshot", 256, false),
-    );
-    out.push_str(&format!(
-        "  \"mixed_headline\": {{\"arbordb_perevent_eps\": {a1:.1}, \
-         \"arbordb_batch256_eps\": {a256:.1}, \"arbordb_group_commit_speedup\": {:.3}, \
-         \"bitgraph_perevent_eps\": {b1:.1}, \"bitgraph_batch256_eps\": {b256:.1}, \
-         \"bitgraph_snapshot_read_p99_ms\": {:.4}, \"bitgraph_locked_read_p99_ms\": {:.4}}}\n",
-        a256 / a1.max(f64::MIN_POSITIVE),
-        mixed_val("bitgraph", "snapshot", 64, true),
-        mixed_val("bitgraph", "locked", 64, true),
-    ));
-    out.push_str("}\n");
-    out
-}
-
-/// One measurement on the tail-latency axis ([`tail_axis`]): a serving run
-/// with deterministic hedging off or on (DESIGN.md §4f).
-pub struct TailRow {
-    /// Engine name (includes the shard count).
-    pub engine: &'static str,
-    /// Hash-partition count.
-    pub shards: usize,
-    /// Whether scatter hedging was armed (threshold [`TAIL_HEDGE_US`]).
-    pub hedge: bool,
-    /// Aggregate throughput (requests/s).
-    pub qps: f64,
-    /// Median request latency (ms).
-    pub p50_ms: f64,
-    /// 95th-percentile request latency (ms).
-    pub p95_ms: f64,
-    /// 99th-percentile request latency (ms).
-    pub p99_ms: f64,
-}
-
-impl TailRow {
-    /// The tail-compression headline: p99 as a multiple of p50.
-    pub fn tail_ratio(&self) -> f64 {
-        self.p99_ms / self.p50_ms.max(f64::MIN_POSITIVE)
-    }
-}
-
-/// Straggler threshold (virtual us) the tail axis arms hedging with.
+/// Straggler threshold (virtual µs) the tail axis arms hedging with.
 pub const TAIL_HEDGE_US: u64 = 25;
 
-/// Measures the tail-latency axis: both sharded backends at 1/2/4 shards,
-/// hedging off and on over the same single-reader stream, under a generous
-/// virtual deadline so hedging is armed. Asserts that arming hedging never
-/// moves the serving digest. Rows come out in (shards, backend, hedge)
-/// order.
-pub fn tail_axis(f: &Fixture) -> Vec<TailRow> {
-    use micrograph_core::ingest::build_sharded_engines;
-    let users = f.dataset.users.len() as u64;
-    let config = ServeConfig {
-        threads: 1,
-        requests: 128,
-        seed: 42,
-        users,
-        vocab: 16,
-        deadline_us: Some(50_000_000),
-        ..Default::default()
-    };
-    let mut rows = Vec::new();
-    for shards in [1usize, 2, 4] {
-        let (sharded_arbor, sharded_bit) =
-            build_sharded_engines(&f.dataset, &f.dir.join(format!("tail-axis-{shards}")), shards)
-                .expect("build sharded engines");
-        for engine in [&sharded_arbor, &sharded_bit] {
-            // One unmeasured pass absorbs cold-cache first-touches, so the
-            // hedge off/on rows compare warm-path tails fairly.
-            serve(engine, &config).expect("warmup");
-            let mut digest = None;
-            for hedge in [false, true] {
-                engine.set_hedging(hedge.then_some(TAIL_HEDGE_US));
-                let report = serve(engine, &config).expect("serve");
-                let d = report.digest();
-                assert_eq!(
-                    *digest.get_or_insert(d),
-                    d,
-                    "{} answers changed with hedge={hedge}",
-                    engine.name()
-                );
-                rows.push(TailRow {
-                    engine: report.engine,
-                    shards,
-                    hedge,
-                    qps: report.qps,
-                    p50_ms: report.p50_ms,
-                    p95_ms: report.p95_ms,
-                    p99_ms: report.p99_ms,
-                });
-            }
-            engine.set_hedging(None);
+/// The serving axes in run order, with the caption the text report prints.
+const AXES: [(&str, &str); 6] = [
+    ("threads", "reader threads over one shared engine"),
+    ("scatter", "sequential vs parallel scatter, 1 reader (DESIGN.md 4e)"),
+    ("exec", "ArborQL tuple vs vectorized executor, bitgraph native baseline, 1 reader (4g)"),
+    ("tail", "hedging off/on, 50 s virtual deadline, clean and transient-chaos shards (4f)"),
+    ("replica", "2 shards x R replicas, healthy, then replica 0 of every shard killed (4i)"),
+    ("mixed", "1 writer drains an event stream while 2 readers serve (4j)"),
+];
+
+/// `labels!["shards" = n, ...]`: a leg's labels, values rendered by `Display`.
+macro_rules! labels {
+    ($($k:literal = $v:expr),* $(,)?) => { vec![$(($k, $v.to_string())),*] };
+}
+
+/// What one call of a serving leg measured.
+#[derive(Debug, Clone, Default)]
+struct Trial {
+    threads: usize,
+    requests: usize,
+    /// Events a mixed leg's writer applied before its quiesced pass.
+    events: usize,
+    /// qps and p50/p95/p99 ms, plus write ev/s and p99 ms for mixed legs.
+    metrics: Vec<(&'static str, f64)>,
+    /// Fingerprint of the answers; `None` when the leg checks them itself.
+    digest: Option<u64>,
+    /// Deterministic counters; they must repeat exactly across trials.
+    counters: Vec<(&'static str, u64)>,
+}
+
+fn latency(qps: f64, p50_ms: f64, p95_ms: f64, p99_ms: f64) -> Vec<(&'static str, f64)> {
+    vec![("qps", qps), ("p50_ms", p50_ms), ("p95_ms", p95_ms), ("p99_ms", p99_ms)]
+}
+
+impl From<ServeReport> for Trial {
+    fn from(r: ServeReport) -> Trial {
+        let f = &r.faults;
+        Trial {
+            threads: r.threads,
+            requests: r.requests,
+            events: 0,
+            metrics: latency(r.qps, r.p50_ms, r.p95_ms, r.p99_ms),
+            digest: Some(r.digest()),
+            counters: vec![
+                ("errors", r.errors),
+                ("degraded", r.degraded),
+                ("injected", f.total_injected()),
+                ("retries", f.retries),
+                ("hedges", f.hedges),
+                ("hedge_wins", f.hedge_wins),
+                ("failovers", f.failovers),
+                ("replica_reads", f.replica_reads),
+            ],
         }
     }
-    rows
 }
 
-/// Renders the tail axis as a text section of the serving experiment.
-pub fn tail_report(rows: &[TailRow]) -> String {
-    let mut out = String::new();
-    out.push_str("-- Tail latency: hedging off/on (1 reader, DESIGN.md 4f) --\n\n");
-    out.push_str(&format!(
-        "{:<22} {:>6} {:>6} {:>9} {:>9} {:>9} {:>8}\n",
-        "engine", "shards", "hedge", "qps", "p50 ms", "p99 ms", "p99/p50"
-    ));
-    for r in rows {
-        out.push_str(&format!(
-            "{:<22} {:>6} {:>6} {:>9.0} {:>9.3} {:>9.3} {:>8.2}\n",
-            r.engine,
-            r.shards,
-            if r.hedge { "on" } else { "off" },
-            r.qps,
-            r.p50_ms,
-            r.p99_ms,
-            r.tail_ratio(),
-        ));
+impl From<MixedReport> for Trial {
+    fn from(r: MixedReport) -> Trial {
+        let (q, w) = (&r.reader, &r.writer);
+        Trial {
+            threads: r.threads,
+            requests: q.requests,
+            events: w.events,
+            metrics: [
+                latency(q.qps, q.p50_ms, q.p95_ms, q.p99_ms),
+                vec![("write_eps", w.events_per_s), ("write_p99_ms", w.p99_ms)],
+            ]
+            .concat(),
+            digest: Some(r.digest()),
+            // Mid-burst reader errors depend on timing, so no counters.
+            counters: Vec::new(),
+        }
     }
-    out.push_str(
-        "\n(hedge off/on rows are digest-identical; hedging is virtual-time\n\
-         keyed, so its wall-clock effect on clean engines is nil by design)\n\n",
-    );
-    out
 }
 
-/// Renders the tail axis as the `BENCH_tail.json` artifact: p50/p99 and
-/// the p99/p50 tail ratio per engine × shard count × hedging,
-/// plus a chaos section demonstrating hedge counters under a transient
-/// plan (answers pinned byte-identical to the fault-free run throughout).
-pub fn tail_json(f: &Fixture, scale: &str, rows: &[TailRow]) -> String {
+/// Median, min and max of one metric over a leg's trials.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Spread {
+    median: f64,
+    min: f64,
+    max: f64,
+}
+
+impl Spread {
+    /// The spread of a non-empty, odd-length sample.
+    fn of(xs: &[f64]) -> Spread {
+        let mut s = xs.to_vec();
+        s.sort_by(f64::total_cmp);
+        Spread { median: s[s.len() / 2], min: s[0], max: s[s.len() - 1] }
+    }
+}
+
+/// One serving leg: the labels its row carries and a closure that runs one
+/// `serve`/`serve_mixed` and returns what it measured.
+struct Leg<'a> {
+    labels: Vec<(&'static str, String)>,
+    run: Box<dyn FnMut() -> Trial + 'a>,
+}
+
+fn leg<'a>(labels: Vec<(&'static str, String)>, run: impl FnMut() -> Trial + 'a) -> Leg<'a> {
+    Leg { labels, run: Box::new(run) }
+}
+
+/// A leg that runs `set` (the toggle it measures), then one `serve` of
+/// `config` on `engine`; the engine's name is its first label.
+fn read_leg<'a>(
+    engine: &'a dyn MicroblogEngine,
+    mut labels: Vec<(&'static str, String)>,
+    config: ServeConfig,
+    set: impl Fn() + 'a,
+) -> Leg<'a> {
+    labels.insert(0, ("engine", engine.name().to_string()));
+    leg(labels, move || {
+        set();
+        serve(engine, &config).expect("serve").into()
+    })
+}
+
+fn describe(labels: &[(&'static str, String)]) -> String {
+    labels.iter().map(|(k, v)| format!("{k}={v}")).collect::<Vec<_>>().join(" ")
+}
+
+/// One serving row: a leg's labels, then the spread of every metric over
+/// its [`TRIALS`] measured trials.
+#[derive(Debug)]
+pub struct Row {
+    axis: &'static str,
+    labels: Vec<(&'static str, String)>,
+    metrics: Vec<(&'static str, Spread)>,
+    threads: usize,
+    requests: usize,
+    events: usize,
+    counters: Vec<(&'static str, u64)>,
+}
+
+impl Row {
+    fn of(axis: &'static str, labels: Vec<(&'static str, String)>, trials: &[Trial]) -> Row {
+        let first = &trials[0];
+        let leg = describe(&labels);
+        for t in trials {
+            assert_eq!(t.counters, first.counters, "{leg}: counters moved between trials");
+        }
+        let metrics = (first.metrics.iter().enumerate())
+            .map(|(i, &(name, _))| {
+                (name, Spread::of(&trials.iter().map(|t| t.metrics[i].1).collect::<Vec<_>>()))
+            })
+            .collect();
+        Row {
+            axis,
+            labels,
+            metrics,
+            threads: first.threads,
+            requests: first.requests,
+            events: first.events,
+            counters: first.counters.clone(),
+        }
+    }
+
+    fn label(&self, key: &str) -> &str {
+        self.labels.iter().find(|(k, _)| *k == key).map_or("", |(_, v)| v.as_str())
+    }
+
+    fn median(&self, metric: &str) -> f64 {
+        let found = self.metrics.iter().find(|(k, _)| *k == metric);
+        found.unwrap_or_else(|| panic!("no metric {metric}")).1.median
+    }
+
+    fn counter(&self, key: &str) -> u64 {
+        self.counters.iter().find(|(k, _)| *k == key).map_or(0, |&(_, v)| v)
+    }
+}
+
+/// The measured-leg runner behind every serving axis. [`Runner::run`]
+/// warms each leg once, then measures every leg [`TRIALS`] times in rounds
+/// that alternate forward and reverse leg order, so no leg always runs
+/// first. Each call's answers are checked against one digest per request
+/// stream, held across axes: every engine that serves a stream (monolith,
+/// sharded, replicated, chaos-wrapped) must answer it byte-identically,
+/// whatever its toggles.
+#[derive(Default)]
+struct Runner {
+    /// First digest seen per request stream, with the leg that set it.
+    streams: Vec<(String, u64, String)>,
+    rows: Vec<Row>,
+}
+
+impl Runner {
+    /// Warms and measures `legs`, appending one row per leg. Panics, naming
+    /// the leg, when a call's digest differs from its stream's first one.
+    fn run(&mut self, axis: &'static str, mut legs: Vec<Leg<'_>>) {
+        for leg in &mut legs {
+            let trial = (leg.run)();
+            self.check(&leg.labels, &trial);
+        }
+        let mut trials = vec![Vec::with_capacity(TRIALS); legs.len()];
+        for round in 0..TRIALS {
+            for k in 0..legs.len() {
+                let i = if round % 2 == 0 { k } else { legs.len() - 1 - k };
+                let trial = (legs[i].run)();
+                self.check(&legs[i].labels, &trial);
+                trials[i].push(trial);
+            }
+        }
+        for (leg, trials) in legs.into_iter().zip(trials) {
+            self.rows.push(Row::of(axis, leg.labels, &trials));
+        }
+    }
+
+    fn check(&mut self, labels: &[(&'static str, String)], trial: &Trial) {
+        let Some(digest) = trial.digest else { return };
+        // Every leg draws its requests from seed 42, so a stream is named by
+        // its length and the events applied before it.
+        let stream = format!("{}-request stream after {} events", trial.requests, trial.events);
+        let leg = format!("{} threads={}", describe(labels), trial.threads);
+        match self.streams.iter().find(|(s, ..)| *s == stream) {
+            Some((_, first, by)) => assert!(
+                *first == digest,
+                "{leg}: digest {digest:#018x} on the {stream} differs from {first:#018x} of {by}"
+            ),
+            None => self.streams.push((stream, digest, leg)),
+        }
+    }
+}
+
+/// The serving experiment (§5 FW2, DESIGN.md §4e–§4j): every axis is a leg
+/// list measured by one `Runner` over the same mixed Q1–Q6 stream (the
+/// LDBC-style multi-client axis the paper leaves open). Sharded
+/// compositions are built once per shard count and shared by the axes;
+/// each axis resets the toggles it flips and frees what no later axis uses.
+/// The replica axis runs after the other read axes because it kills
+/// replica 0 of the shared 2-shard pair.
+pub fn serving(f: &Fixture) -> Vec<Row> {
+    use micrograph_core::adapters::BitEngine;
     use micrograph_core::fault::silence_injected_panics;
-    use micrograph_core::ingest::{build_chaos_sharded_engines, build_sharded_engines};
-    use micrograph_core::{DegradationMode, FaultPlan, RetryPolicy};
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"experiment\": \"serving_tail_latency\",\n");
-    out.push_str(&format!("  \"scale\": \"{scale}\",\n"));
-    out.push_str("  \"threads\": 1,\n");
-    out.push_str("  \"requests\": 128,\n");
-    out.push_str(&format!("  \"hedge_threshold_us\": {TAIL_HEDGE_US},\n"));
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let comma = if i + 1 == rows.len() { "" } else { "," };
-        out.push_str(&format!(
-            "    {{\"engine\": \"{}\", \"shards\": {}, \"hedge\": {}, \
-             \"qps\": {:.1}, \"p50_ms\": {:.4}, \"p95_ms\": {:.4}, \"p99_ms\": {:.4}, \
-             \"p99_over_p50\": {:.3}}}{comma}\n",
-            r.engine,
-            r.shards,
-            r.hedge,
-            r.qps,
-            r.p50_ms,
-            r.p95_ms,
-            r.p99_ms,
-            r.tail_ratio(),
-        ));
-    }
-    out.push_str("  ],\n");
-
-    // Chaos section: under a transient plan the hedge counters move (and
-    // hedges win against faulted retry ladders), while the digest stays
-    // pinned to the fault-free run with hedging on or off.
-    silence_injected_panics();
-    let users = f.dataset.users.len() as u64;
-    let config = ServeConfig {
-        threads: 1,
-        requests: 128,
-        seed: 42,
-        users,
-        vocab: 16,
-        deadline_us: Some(50_000_000),
-        ..Default::default()
+    use micrograph_core::ingest::{
+        build_chaos_sharded_engines, build_replicated_engines, build_sharded_engines, ingest_arbor,
     };
-    let (clean, _) = build_sharded_engines(&f.dataset, &f.dir.join("tail-chaos-clean"), 4)
-        .expect("build clean");
-    let baseline = serve(&clean, &config).expect("serve baseline");
+    use micrograph_core::serve::{serve_mixed, MixedConfig};
+    use micrograph_core::{
+        DegradationMode, ExecMode, FaultPlan, RetryPolicy, ScatterMode, WriteMode,
+    };
+    use micrograph_datagen::{StreamGen, StreamMix};
+
+    let users = f.dataset.users.len() as u64;
+    let read = |threads, requests| ServeConfig { threads, requests, users, ..Default::default() };
+    let config = read(1, 128);
+    let mut sharded = Vec::new();
+    for n in [1, 2, 4] {
+        let dir = f.dir.join(format!("serving-{n}"));
+        let (a, b) = build_sharded_engines(&f.dataset, &dir, n).expect("build sharded engines");
+        sharded.push((n, a, b));
+    }
+    let mut runner = Runner::default();
+
+    let mut legs = Vec::new();
+    for engine in [&f.arbor as &dyn MicroblogEngine, &f.bit] {
+        for threads in [1, 2, 4] {
+            legs.push(read_leg(engine, vec![], read(threads, 128), || ()));
+        }
+    }
+    runner.run("threads", legs);
+
+    let mut legs = Vec::new();
+    for (n, a, b) in &sharded {
+        for engine in [a, b] {
+            for mode in [ScatterMode::Sequential, ScatterMode::Parallel] {
+                let labels = labels!["shards" = n, "mode" = mode.label()];
+                legs.push(read_leg(engine, labels, config, move || {
+                    assert!(engine.set_scatter_mode(mode), "sharded engine lost its scatter toggle")
+                }));
+            }
+        }
+    }
+    runner.run("scatter", legs);
+    for (_, a, b) in &sharded {
+        a.set_scatter_mode(ScatterMode::Parallel);
+        b.set_scatter_mode(ScatterMode::Parallel);
+    }
+
+    let mut arbors: Vec<(usize, &dyn MicroblogEngine)> = vec![(0, &f.arbor)];
+    arbors.extend(sharded[1..].iter().map(|(n, a, _)| (*n, a as &dyn MicroblogEngine)));
+    let mut legs = Vec::new();
+    for &(n, engine) in &arbors {
+        for mode in [ExecMode::Tuple, ExecMode::Vectorized] {
+            let labels = labels!["shards" = n, "exec" = mode.as_str()];
+            legs.push(read_leg(engine, labels, config, move || {
+                assert!(engine.set_exec_mode(mode), "arbordb engine lost its exec-mode toggle")
+            }));
+        }
+    }
+    assert!(!f.bit.set_exec_mode(ExecMode::Tuple), "bitgraph must refuse the exec toggle");
+    legs.push(read_leg(&f.bit, labels!["shards" = 0, "exec" = "native"], config, || ()));
+    runner.run("exec", legs);
+    for (_, engine) in &arbors {
+        engine.set_exec_mode(ExecMode::Vectorized);
+    }
+
+    // Hedging is virtual-time keyed, so on clean shards its wall-clock
+    // effect is nil by design; under transient chaos its counters move
+    // while the answers stay those of the clean legs.
+    silence_injected_panics();
     let (chaos, _) = build_chaos_sharded_engines(
         &f.dataset,
-        &f.dir.join("tail-chaos"),
+        &f.dir.join("serving-chaos-4"),
         4,
         FaultPlan::transient(3),
         RetryPolicy::default(),
         DegradationMode::Strict,
     )
-    .expect("build chaos");
-    out.push_str("  \"chaos\": {\"plan\": \"transient\", \"shards\": 4, \"legs\": [\n");
-    for hedge in [false, true] {
-        chaos.set_hedging(hedge.then_some(TAIL_HEDGE_US));
-        let report = serve(&chaos, &config).expect("serve chaos");
-        assert_eq!(
-            report.digest(),
-            baseline.digest(),
-            "transient faults leaked into answers (hedge={hedge})"
-        );
-        let comma = if hedge { "" } else { "," };
-        out.push_str(&format!(
-            "    {{\"hedge\": {hedge}, \"injected\": {}, \"retries\": {}, \"hedges\": {}, \
-             \"hedge_wins\": {}, \"digest_matches_clean\": true}}{comma}\n",
-            report.faults.total_injected(),
-            report.faults.retries,
-            report.faults.hedges,
-            report.faults.hedge_wins,
-        ));
+    .expect("build chaos engines");
+    let mut targets: Vec<(usize, &str, &ShardedEngine)> = Vec::new();
+    for (n, a, b) in &sharded {
+        targets.extend([(*n, "clean", a), (*n, "clean", b)]);
     }
-    chaos.set_hedging(None);
-    out.push_str("  ]}\n}\n");
+    targets.push((4, "transient", &chaos));
+    let tail = ServeConfig { deadline_us: Some(50_000_000), ..config };
+    let mut legs = Vec::new();
+    for &(n, plan, engine) in &targets {
+        for hedge in [false, true] {
+            let labels = labels!["shards" = n, "plan" = plan, "hedge" = hedge];
+            legs.push(read_leg(engine, labels, tail, move || {
+                engine.set_hedging(hedge.then_some(TAIL_HEDGE_US))
+            }));
+        }
+    }
+    runner.run("tail", legs);
+    for (_, _, engine) in &targets {
+        engine.set_hedging(None);
+    }
+    // Only the 2-shard pair serves on, so free the rest before the
+    // replicas are built.
+    let (_, a2, b2) = sharded.swap_remove(1);
+    drop((chaos, sharded));
+
+    // 4 readers over 512 requests; R = 1 is the shared 2-shard pair (an
+    // R = 1 replicated build is the same engine).
+    let readers = read(4, 512);
+    let mut replicated = Vec::new();
+    for r in [2, 3] {
+        let dir = f.dir.join(format!("serving-replicas-{r}"));
+        let (a, b) = build_replicated_engines(&f.dataset, &dir, 2, r).expect("build replicas");
+        replicated.push((r, a, b));
+    }
+    let mut groups: Vec<(usize, &ShardedEngine)> = vec![(1, &a2), (1, &b2)];
+    for (r, a, b) in &replicated {
+        groups.extend([(*r, a), (*r, b)]);
+    }
+    let mut legs = Vec::new();
+    for &(r, engine) in &groups {
+        let labels = labels!["shards" = 2, "replicas" = r, "condition" = "healthy"];
+        legs.push(read_leg(engine, labels, readers, || ()));
+    }
+    runner.run("replica", legs);
+    // With replica 0 of every shard dead, a spare replica must absorb the
+    // loss byte-identically; a sole replica must fail every request fast,
+    // never serving a stale or partial answer in Strict mode.
+    for (_, engine) in &groups {
+        for shard in 0..2 {
+            engine.kill_replica(shard, 0);
+        }
+    }
+    let mut legs = Vec::new();
+    for &(r, engine) in &groups {
+        let name = engine.name();
+        let labels =
+            labels!["engine" = name, "shards" = 2, "replicas" = r, "condition" = "degraded"];
+        legs.push(leg(labels, move || {
+            let report = serve(engine, &readers).expect("serve degraded");
+            let sole = r == 1;
+            if sole {
+                assert_eq!(report.errors, 512, "{name}: a dead sole replica must fail all");
+            } else {
+                assert!(report.faults.failovers > 0, "{name}: replica loss must hop");
+            }
+            let mut trial = Trial::from(report);
+            trial.digest = trial.digest.filter(|_| !sole);
+            trial
+        }));
+    }
+    runner.run("replica", legs);
+    drop((replicated, a2, b2));
+
+    // The writer mutates its engine, so every call ingests a fresh one from
+    // the fixture's CSV bundle; arbordb goes to disk, where the WAL is what
+    // group commit amortizes, and its readers queue behind the write latch.
+    // bitgraph runs the same ladder with snapshot reads, plus the locked
+    // oracle at batch 64 for the reader-p99 contrast.
+    let small = crate::fixture::Scale::Small.config();
+    let events = &StreamGen::new(&f.dataset, &small, 7, StreamMix::default()).events(1_000);
+    let mixed = MixedConfig { threads: 2, requests: 128, users, ..MixedConfig::default() };
+    let mut legs = Vec::new();
+    for (engine, mode, batch) in [
+        ("arbordb", None, 1),
+        ("arbordb", None, 64),
+        ("arbordb", None, 256),
+        ("bitgraph", Some(WriteMode::Snapshot), 1),
+        ("bitgraph", Some(WriteMode::Snapshot), 64),
+        ("bitgraph", Some(WriteMode::Snapshot), 256),
+        ("bitgraph", Some(WriteMode::Locked), 64),
+    ] {
+        let config = MixedConfig { batch, batched: batch > 1, ..mixed };
+        let labels = labels![
+            "engine" = engine,
+            "mode" = mode.map_or("latched", |m| m.as_str()),
+            "batch" = batch,
+            "batched" = config.batched
+        ];
+        let dir = f.dir.join(format!("serving-mixed-{batch}"));
+        legs.push(leg(labels, move || {
+            let report = match mode {
+                None => {
+                    let _ = std::fs::remove_dir_all(&dir);
+                    let ingest =
+                        ingest_arbor(&f.files, Some(&dir), Default::default(), &Default::default());
+                    serve_mixed(&ArborEngine::new(ingest.expect("ingest").0), events, &config)
+                }
+                Some(mode) => {
+                    let (g, _) =
+                        ingest_bit(&f.files, None, Default::default(), &Default::default())
+                            .expect("load");
+                    let bit = BitEngine::new(g).expect("engine");
+                    assert!(bit.set_write_mode(mode), "bitgraph lost its write-mode toggle");
+                    serve_mixed(&bit, events, &config)
+                }
+            };
+            report.expect("mixed serve").into()
+        }));
+    }
+    runner.run("mixed", legs);
+    runner.rows
+}
+
+fn nproc() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// One number as both the text report and the JSON artifact print it.
+fn num(v: f64) -> String {
+    format!("{v:.4}")
+}
+
+/// The row of `axis` whose engine name contains `backend` and whose labels
+/// include every `want` pair.
+fn pick<'r>(rows: &'r [Row], axis: &str, backend: &str, want: &[(&str, &str)]) -> &'r Row {
+    let mut matching =
+        rows.iter().filter(|r| r.axis == axis && r.label("engine").contains(backend));
+    let found = matching.find(|r| want.iter().all(|&(k, v)| r.label(k) == v));
+    found.unwrap_or_else(|| panic!("no {axis} row for {backend} with {want:?}"))
+}
+
+/// The headline numbers, computed from the rows alone so the text report
+/// and `BENCH_serving.json` carry the same values.
+fn headlines(rows: &[Row]) -> Vec<(&'static str, f64)> {
+    // The sharded backend gap (4g/4h): parallel-scatter qps at 4 shards.
+    let gap = |b| pick(rows, "scatter", b, &[("shards", "4"), ("mode", "par")]).median("qps");
+    // Replication (4i): healthy qps, and goodput (full-coverage answers per
+    // second) with replica 0 of every shard dead.
+    let replica =
+        |b, r, condition| pick(rows, "replica", b, &[("replicas", r), ("condition", condition)]);
+    let healthy = |b, r| replica(b, r, "healthy").median("qps");
+    let goodput = |b, r| {
+        let row = replica(b, r, "degraded");
+        let ok = row.requests as u64 - row.counter("errors") - row.counter("degraded");
+        row.median("qps") * ok as f64 / row.requests as f64
+    };
+    // Mixed (4j): group-commit ingest scaling and the burst reader tail.
+    let mixed = |b, mode, batch, metric| {
+        pick(rows, "mixed", b, &[("mode", mode), ("batch", batch)]).median(metric)
+    };
+    let eps = |b, mode, batch| mixed(b, mode, batch, "write_eps");
+    vec![
+        ("gap_arbordb_parallel_qps", gap("arbordb")),
+        ("gap_bitgraph_parallel_qps", gap("bitgraph")),
+        ("gap_bitgraph_over_arbordb", gap("bitgraph") / gap("arbordb")),
+        ("replica_arbordb_r1_qps", healthy("arbordb", "1")),
+        ("replica_arbordb_r2_qps", healthy("arbordb", "2")),
+        ("replica_bitgraph_r1_qps", healthy("bitgraph", "1")),
+        ("replica_bitgraph_r2_qps", healthy("bitgraph", "2")),
+        ("replica_arbordb_dead_r1_goodput", goodput("arbordb", "1")),
+        ("replica_arbordb_dead_r2_goodput", goodput("arbordb", "2")),
+        ("replica_bitgraph_dead_r1_goodput", goodput("bitgraph", "1")),
+        ("replica_bitgraph_dead_r2_goodput", goodput("bitgraph", "2")),
+        ("mixed_arbordb_perevent_eps", eps("arbordb", "latched", "1")),
+        ("mixed_arbordb_batch256_eps", eps("arbordb", "latched", "256")),
+        (
+            "mixed_arbordb_group_commit_speedup",
+            eps("arbordb", "latched", "256") / eps("arbordb", "latched", "1"),
+        ),
+        ("mixed_bitgraph_perevent_eps", eps("bitgraph", "snapshot", "1")),
+        ("mixed_bitgraph_batch256_eps", eps("bitgraph", "snapshot", "256")),
+        ("mixed_bitgraph_snapshot_read_p99_ms", mixed("bitgraph", "snapshot", "64", "p99_ms")),
+        ("mixed_bitgraph_locked_read_p99_ms", mixed("bitgraph", "locked", "64", "p99_ms")),
+    ]
+}
+
+/// Renders the serving rows, one line per leg under a caption per axis,
+/// then the headlines.
+pub fn serving_report(rows: &[Row]) -> String {
+    let mut out = format!(
+        "== Serving: mixed Q1-Q6 stream, median [min-max] of {TRIALS} warmed trials per leg, nproc {} ==\n",
+        nproc()
+    );
+    for (axis, caption) in AXES {
+        out.push_str(&format!("\n-- {axis}: {caption} --\n"));
+        let rows: Vec<&Row> = rows.iter().filter(|r| r.axis == axis).collect();
+        let name = |r: &Row| {
+            let shape =
+                format!("threads={} requests={} events={}", r.threads, r.requests, r.events);
+            format!("{} {shape}", describe(&r.labels))
+        };
+        let width = rows.iter().map(|r| name(r).len()).max().unwrap_or(0);
+        for r in rows {
+            let mut line = format!("{:<width$}", name(r));
+            for (k, s) in &r.metrics {
+                let p = if k.ends_with("_ms") { 3 } else { 0 };
+                let cell = format!("{:.p$} [{:.p$}-{:.p$}]", s.median, s.min, s.max);
+                line.push_str(&format!("  {k} {cell:<21}"));
+            }
+            for (k, v) in r.counters.iter().filter(|(_, v)| *v > 0) {
+                line.push_str(&format!("  {k}={v}"));
+            }
+            out.push_str(line.trim_end());
+            out.push('\n');
+        }
+    }
+    out.push('\n');
+    for (k, v) in headlines(rows) {
+        out.push_str(&format!("headline {k} {}\n", num(v)));
+    }
     out
+}
+
+/// Renders the serving rows as the `BENCH_serving.json` artifact: a header
+/// (scale, trials, host nproc, hedge threshold), one `<axis>_rows` array
+/// per axis in the one row schema, `headlines`, and the tail axis's
+/// transient-chaos rows again as the `chaos` section.
+pub fn serving_json(scale: &str, rows: &[Row]) -> String {
+    let mut out = format!(
+        "{{\n  \"experiment\": \"serving\",\n  \"scale\": \"{scale}\",\n  \"trials\": {TRIALS},\n  \
+         \"nproc\": {},\n  \"hedge_threshold_us\": {TAIL_HEDGE_US},\n",
+        nproc()
+    );
+    for (axis, _) in AXES {
+        let lines: Vec<String> = rows.iter().filter(|r| r.axis == axis).map(row_json).collect();
+        out.push_str(&format!("  \"{axis}_rows\": [\n{}\n  ],\n", lines.join(",\n")));
+    }
+    let headlines: Vec<String> =
+        headlines(rows).iter().map(|(k, v)| format!("\"{k}\": {}", num(*v))).collect();
+    out.push_str(&format!("  \"headlines\": {{{}}},\n", headlines.join(", ")));
+    // The runner panics unless every chaos call answered like the clean
+    // legs, hence the constant `digest_matches_clean`.
+    let chaos: Vec<String> = (rows.iter())
+        .filter(|r| r.axis == "tail" && r.label("plan") == "transient")
+        .map(row_json)
+        .collect();
+    out.push_str(&format!(
+        "  \"chaos\": {{\"plan\": \"transient\", \"digest_matches_clean\": true, \"legs\": [\n{}\n  ]}}\n}}\n",
+        chaos.join(",\n")
+    ));
+    out
+}
+
+/// One row in the shared schema: labels, median/min/max per metric, then
+/// trials, threads, requests, events (0 unless the leg writes) and counters.
+fn row_json(r: &Row) -> String {
+    let mut fields: Vec<String> = (r.labels.iter())
+        .map(|(k, v)| {
+            if v.parse::<i64>().is_ok() || v == "true" || v == "false" {
+                format!("\"{k}\": {v}")
+            } else {
+                format!("\"{k}\": {v:?}")
+            }
+        })
+        .collect();
+    fields.extend(r.metrics.iter().map(|(k, s)| {
+        let (median, min, max) = (num(s.median), num(s.min), num(s.max));
+        format!("\"{k}\": {{\"median\": {median}, \"min\": {min}, \"max\": {max}}}")
+    }));
+    let (threads, requests, events) = (r.threads, r.requests, r.events);
+    fields.push(format!("\"trials\": {TRIALS}, \"threads\": {threads}, \"requests\": {requests}, \"events\": {events}"));
+    let counters: Vec<String> = r.counters.iter().map(|(k, v)| format!("\"{k}\": {v}")).collect();
+    fields.push(format!("\"counters\": {{{}}}", counters.join(", ")));
+    format!("    {{{}}}", fields.join(", "))
 }
 
 /// The chaos-serving experiment: deterministic fault injection against the
@@ -1626,4 +1167,70 @@ pub fn import_summary(f: &Fixture) -> String {
         f.reports.arbor.intermediate_ms, f.reports.arbor.index_build_ms, f.reports.bit.flush_stalls,
     ));
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::cell::{Cell, RefCell};
+
+    /// A leg that logs each call and answers the 8-request stream with `digest`.
+    fn stub<'a>(name: &'static str, log: &'a RefCell<Vec<&'static str>>, digest: u64) -> Leg<'a> {
+        leg(labels!["leg" = name], move || {
+            log.borrow_mut().push(name);
+            Trial { threads: 1, requests: 8, digest: Some(digest), ..Trial::default() }
+        })
+    }
+
+    #[test]
+    fn every_leg_is_warmed_once_then_measured_in_alternating_order() {
+        let log = RefCell::new(Vec::new());
+        let mut runner = Runner::default();
+        runner.run("axis", vec![stub("a", &log, 7), stub("b", &log, 7), stub("c", &log, 7)]);
+        let mut want = vec!["a", "b", "c"];
+        for round in 0..TRIALS {
+            want.extend(if round % 2 == 0 { ["a", "b", "c"] } else { ["c", "b", "a"] });
+        }
+        assert_eq!(*log.borrow(), want);
+        let rows: Vec<&str> = runner.rows.iter().map(|r| r.label("leg")).collect();
+        assert_eq!(rows, ["a", "b", "c"]);
+    }
+
+    #[test]
+    fn rows_hold_median_min_max_of_the_measured_trials_only() {
+        assert_eq!(
+            Spread::of(&[3.0, 9.0, 1.0, 4.0, 2.0]),
+            Spread { median: 3.0, min: 1.0, max: 9.0 }
+        );
+        // Call 0 is the warmup, whose outlier must not reach the row; the
+        // measured calls return TRIALS, TRIALS - 1, ..., 1.
+        let calls = Cell::new(0usize);
+        let descending = leg(labels!["leg" = "a"], || {
+            let i = calls.replace(calls.get() + 1);
+            let qps = if i == 0 { 1e9 } else { (TRIALS + 1 - i) as f64 };
+            Trial { metrics: vec![("qps", qps)], ..Trial::default() }
+        });
+        let mut runner = Runner::default();
+        runner.run("axis", vec![descending]);
+        assert_eq!(calls.get(), TRIALS + 1);
+        let want = Spread { median: (TRIALS / 2 + 1) as f64, min: 1.0, max: TRIALS as f64 };
+        assert_eq!(runner.rows[0].metrics, [("qps", want)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "leg=c threads=1: digest")]
+    fn a_leg_whose_digest_differs_from_its_stream_panics_naming_it() {
+        let log = RefCell::new(Vec::new());
+        let mut runner = Runner::default();
+        runner.run("first", vec![stub("a", &log, 7), stub("b", &log, 7)]);
+        // A 16-request stream keeps its own digest ...
+        let long = leg(labels!["leg" = "long"], || Trial {
+            requests: 16,
+            digest: Some(9),
+            ..Trial::default()
+        });
+        runner.run("second", vec![long]);
+        // ... while the 8-request stream still answers to axis `first`.
+        runner.run("third", vec![stub("c", &log, 8)]);
+    }
 }
